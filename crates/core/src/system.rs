@@ -1281,10 +1281,8 @@ impl System {
                 let bytes = msg.wire_bytes();
                 let pkt = Packet::new(m.port, dst, bytes, msg);
                 if let Err(p) = self.net.try_inject(pkt) {
+                    // Staging slot busy: retry the same message next cycle.
                     m.out.push_front((p.dst, p.payload));
-                    // Put back with original destination.
-                    let (dst, msg) = m.out.pop_front().expect("just pushed");
-                    m.out.push_front((dst, msg));
                 }
             }
             // Event wheel: a fully drained node sleeps until a delivery

@@ -85,6 +85,10 @@ pub struct LoadOutcome {
 
 /// Sends one request over an open connection and reads the response.
 ///
+/// The request leaves in a single `write_all` with Nagle's algorithm
+/// off: split small writes let Nagle hold the last segment until the
+/// daemon's delayed ACK fires, adding about 40 ms to a loopback request.
+///
 /// # Errors
 ///
 /// I/O and framing errors.
@@ -95,12 +99,12 @@ pub fn roundtrip(
     path: &str,
     body: &str,
 ) -> io::Result<Response> {
-    write!(
-        stream,
+    stream.set_nodelay(true)?;
+    let request = format!(
         "{method} {path} HTTP/1.1\r\nHost: gnna-serve\r\nContent-Length: {}\r\n\r\n{body}",
         body.len()
-    )?;
-    stream.flush()?;
+    );
+    stream.write_all(request.as_bytes())?;
     read_response(reader)?
         .ok_or_else(|| io::Error::new(io::ErrorKind::UnexpectedEof, "connection closed"))
 }

@@ -340,6 +340,10 @@ fn handle_connection(shared: &Arc<Shared>, stream: TcpStream) -> io::Result<()> 
     if shared.read_timeout > Duration::ZERO {
         stream.set_read_timeout(Some(shared.read_timeout))?;
     }
+    // A reply that overflows the writer's buffer leaves in two writes;
+    // with Nagle on, the short second one would wait for the client's
+    // delayed ACK (about 40 ms on loopback).
+    stream.set_nodelay(true)?;
     // One clone feeds the reader, another probes for disconnects while
     // a job waits in the queue (same fd; this thread owns both uses).
     let probe = stream.try_clone()?;

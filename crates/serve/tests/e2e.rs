@@ -810,3 +810,31 @@ fn disconnected_clients_jobs_are_cancelled_before_execution() {
     h.shutdown();
     h.join();
 }
+
+#[test]
+fn smoke_functional_round_trips_do_not_wait_for_delayed_acks() {
+    // A smoke-scale Cora reply (~10 KB) overflows the daemon's 8 KiB
+    // writer buffer, so it leaves in two writes. With Nagle's algorithm
+    // on either side, the second write waits ~40 ms for a delayed ACK.
+    let h = boot(|_| {});
+    let mut stream = TcpStream::connect(h.addr()).unwrap();
+    let mut reader = BufReader::new(stream.try_clone().unwrap());
+    let body = r#"{"id":"n","model":"gcn","input":"cora","mode":"functional"}"#;
+    let mut ms = Vec::new();
+    // The first request builds the case; time the five after it.
+    for _ in 0..6 {
+        let t0 = Instant::now();
+        let resp = roundtrip(&mut stream, &mut reader, "POST", "/v1/infer", body).unwrap();
+        ms.push(t0.elapsed().as_secs_f64() * 1e3);
+        assert_eq!(resp.status, 200, "{}", resp.body);
+    }
+    let mut timed = ms.split_off(1);
+    timed.sort_by(f64::total_cmp);
+    assert!(
+        timed[2] < 30.0,
+        "median functional round trip {:.1} ms (all: {timed:?})",
+        timed[2]
+    );
+    h.shutdown();
+    h.join();
+}
