@@ -22,7 +22,7 @@
 use crate::{BenchCase, BenchError};
 use gnna_core::config::AcceleratorConfig;
 use gnna_core::stats::SimReport;
-use gnna_core::system::System;
+use gnna_core::system::{System, TraceOptions};
 use gnna_core::CoreError;
 use gnna_faults::FaultPlan;
 
@@ -187,8 +187,12 @@ pub fn run_with_faults(
     config: &AcceleratorConfig,
     plan: &FaultPlan,
 ) -> Result<FaultRun, BenchError> {
-    let mut sys = System::new(config, &case.dataset.instances, case.program.clone())?;
-    sys.attach_faults(plan)?;
+    let opts = TraceOptions {
+        fault_plan: Some(plan.clone()),
+        ..TraceOptions::default()
+    };
+    let mut sys =
+        System::with_options(config, &case.dataset.instances, case.program.clone(), &opts)?;
     match sys.run() {
         Ok(report) => {
             let accuracy = compare_rows(&case.reference, &simulated_rows(case, &sys)?)?;

@@ -14,6 +14,7 @@ use gnna_bench::campaign::{self, CampaignSpec, Mode, RateUnit};
 use gnna_bench::Scale;
 use gnna_core::config::AcceleratorConfig;
 use gnna_faults::{CrcDomain, EccDomain};
+use gnna_graph::datasets;
 use gnna_models::ModelKind;
 use std::io::Write as _;
 use std::process::ExitCode;
@@ -60,27 +61,6 @@ usage: gnna-campaign [options]
   --version                      print the workspace version
   --help                         this message";
 
-fn parse_model(s: &str) -> Result<ModelKind, String> {
-    match s {
-        "gcn" => Ok(ModelKind::Gcn),
-        "gat" => Ok(ModelKind::Gat),
-        "mpnn" => Ok(ModelKind::Mpnn),
-        "pgnn" => Ok(ModelKind::Pgnn),
-        other => Err(format!("unknown model {other}")),
-    }
-}
-
-fn parse_input(s: &str) -> Result<&'static str, String> {
-    match s {
-        "cora" => Ok("Cora"),
-        "citeseer" => Ok("Citeseer"),
-        "pubmed" => Ok("Pubmed"),
-        "qm9_1000" | "qm9" => Ok("QM9_1000"),
-        "dblp_1" | "dblp" => Ok("DBLP_1"),
-        other => Err(format!("unknown input {other}")),
-    }
-}
-
 fn default_input(m: ModelKind) -> &'static str {
     match m {
         ModelKind::Gcn | ModelKind::Gat => "Cora",
@@ -102,9 +82,9 @@ fn parse_args() -> Result<Args, String> {
                 let mut pairs = Vec::new();
                 for item in value("--benchmarks")?.to_ascii_lowercase().split(',') {
                     let (m, i) = match item.split_once(':') {
-                        Some((m, i)) => (parse_model(m)?, parse_input(i)?),
+                        Some((m, i)) => (ModelKind::parse(m)?, datasets::parse_name(i)?),
                         None => {
-                            let m = parse_model(item)?;
+                            let m = ModelKind::parse(item)?;
                             (m, default_input(m))
                         }
                     };
@@ -171,14 +151,7 @@ fn parse_args() -> Result<Args, String> {
                 }
                 spec.modes = modes;
             }
-            "--config" => {
-                spec.config = match value("--config")?.to_ascii_lowercase().as_str() {
-                    "cpu-iso-bw" => AcceleratorConfig::cpu_iso_bandwidth(),
-                    "gpu-iso-bw" => AcceleratorConfig::gpu_iso_bandwidth(),
-                    "gpu-iso-flops" => AcceleratorConfig::gpu_iso_flops(),
-                    other => return Err(format!("unknown config {other}")),
-                }
-            }
+            "--config" => spec.config = AcceleratorConfig::by_name(&value("--config")?)?,
             "--smoke" => spec.scale = Scale::Smoke,
             "--double-bit-fraction" => {
                 let f: f64 = value("--double-bit-fraction")?

@@ -10,10 +10,11 @@
 //! measured Table VII baselines, and optionally a per-layer timing
 //! breakdown and an energy estimate.
 
-use gnna_bench::{build_case, simulate, simulate_traced_opts, Scale, TraceOptions};
+use gnna_bench::{build_case, simulate_traced_opts, Scale, TraceOptions};
 use gnna_core::config::AcceleratorConfig;
 use gnna_core::energy::EnergyModel;
 use gnna_faults::{CrcDomain, EccDomain, FaultPlan, PhysicalRates, RecoveryMode};
+use gnna_graph::datasets;
 use gnna_models::ModelKind;
 use gnna_telemetry::{Metric, MetricsRegistry, TraceLevel};
 use std::process::ExitCode;
@@ -146,33 +147,9 @@ fn parse_args() -> Result<Args, String> {
     while let Some(arg) = args.next() {
         let mut value = |name: &str| args.next().ok_or_else(|| format!("{name} needs a value"));
         match arg.as_str() {
-            "--model" => {
-                model = match value("--model")?.to_ascii_lowercase().as_str() {
-                    "gcn" => ModelKind::Gcn,
-                    "gat" => ModelKind::Gat,
-                    "mpnn" => ModelKind::Mpnn,
-                    "pgnn" => ModelKind::Pgnn,
-                    other => return Err(format!("unknown model {other}")),
-                }
-            }
-            "--input" => {
-                input = Some(match value("--input")?.to_ascii_lowercase().as_str() {
-                    "cora" => "Cora",
-                    "citeseer" => "Citeseer",
-                    "pubmed" => "Pubmed",
-                    "qm9_1000" | "qm9" => "QM9_1000",
-                    "dblp_1" | "dblp" => "DBLP_1",
-                    other => return Err(format!("unknown input {other}")),
-                })
-            }
-            "--config" => {
-                config = match value("--config")?.to_ascii_lowercase().as_str() {
-                    "cpu-iso-bw" => AcceleratorConfig::cpu_iso_bandwidth(),
-                    "gpu-iso-bw" => AcceleratorConfig::gpu_iso_bandwidth(),
-                    "gpu-iso-flops" => AcceleratorConfig::gpu_iso_flops(),
-                    other => return Err(format!("unknown config {other}")),
-                }
-            }
+            "--model" => model = ModelKind::parse(&value("--model")?)?,
+            "--input" => input = Some(datasets::parse_name(&value("--input")?)?),
+            "--config" => config = AcceleratorConfig::by_name(&value("--config")?)?,
             "--clock" => {
                 clock_ghz = value("--clock")?
                     .parse()
@@ -445,8 +422,9 @@ fn main() -> ExitCode {
         config.gpe_threads
     );
     // Tracing is wanted when an output path is given or a level above
-    // `off` is requested explicitly; `--trace-level off` forces the
-    // untraced path (bit-identical to running without any trace flags).
+    // `off` is requested explicitly; `--trace-level off` attaches no
+    // tracer (bit-identical to running without any trace flags, and
+    // `--trace-out` then writes nothing).
     let level = args.trace_level.unwrap_or({
         if args.trace_out.is_some() || args.metrics_out.is_some() {
             TraceLevel::Event
@@ -463,91 +441,78 @@ fn main() -> ExitCode {
     } else {
         args.profile_sample_every
     };
+    let opts = TraceOptions {
+        level,
+        flight_capacity: args.flight_capacity,
+        fault_plan,
+        profile_sample_every,
+    };
     let wall = std::time::Instant::now();
-    let report = if level == TraceLevel::Off
-        && fault_plan.is_none()
-        && profile_sample_every.is_none()
-    {
-        match simulate(&case, &config) {
-            Ok(r) => r,
-            Err(e) => {
-                eprintln!("error: simulation failed: {e}");
-                return ExitCode::FAILURE;
-            }
+    let run = match simulate_traced_opts(&case, &config, &opts) {
+        Ok(r) => r,
+        Err(e) => {
+            eprintln!("error: simulation failed: {e}");
+            return ExitCode::FAILURE;
         }
-    } else {
-        let opts = TraceOptions {
-            level,
-            flight_capacity: args.flight_capacity,
-            fault_plan,
-            profile_sample_every,
+    };
+    if let (Some(path), Some(tracer)) = (&args.trace_out, &run.tracer) {
+        let tracer = tracer.borrow();
+        if let Err(e) = std::fs::write(path, tracer.to_chrome_json_string()) {
+            eprintln!("error: cannot write trace {path}: {e}");
+            return ExitCode::FAILURE;
+        }
+        println!(
+            "trace: {} ({} events, {} tracks) — load at ui.perfetto.dev",
+            path,
+            tracer.event_count(),
+            tracer.track_count()
+        );
+    }
+    if let Some(path) = &args.metrics_out {
+        let body = if path.ends_with(".csv") {
+            run.metrics.to_csv_string()
+        } else {
+            run.metrics.to_json_string()
         };
-        let run = match simulate_traced_opts(&case, &config, &opts) {
-            Ok(r) => r,
-            Err(e) => {
-                eprintln!("error: simulation failed: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        if let Some(path) = &args.trace_out {
-            let json = run.tracer.borrow().to_chrome_json_string();
-            if let Err(e) = std::fs::write(path, json) {
-                eprintln!("error: cannot write trace {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-            println!(
-                "trace: {} ({} events, {} tracks) — load at ui.perfetto.dev",
-                path,
-                run.tracer.borrow().event_count(),
-                run.tracer.borrow().track_count()
-            );
+        if let Err(e) = std::fs::write(path, body) {
+            eprintln!("error: cannot write metrics {path}: {e}");
+            return ExitCode::FAILURE;
         }
-        if let Some(path) = &args.metrics_out {
-            let body = if path.ends_with(".csv") {
-                run.metrics.to_csv_string()
-            } else {
-                run.metrics.to_json_string()
-            };
-            if let Err(e) = std::fs::write(path, body) {
-                eprintln!("error: cannot write metrics {path}: {e}");
+        println!("metrics: {} ({} series)", path, run.metrics.len());
+    }
+    if let Some(profiler) = &run.profiler {
+        let prof = profiler.borrow();
+        if let Some(path) = &args.profile_out {
+            if let Err(e) = std::fs::write(path, prof.collapsed()) {
+                eprintln!("error: cannot write profile {path}: {e}");
                 return ExitCode::FAILURE;
             }
-            println!("metrics: {} ({} series)", path, run.metrics.len());
+            println!("host profile: {path} (collapsed stacks — feed to flamegraph tooling)");
         }
-        if let Some(profiler) = &run.profiler {
-            let prof = profiler.borrow();
-            if let Some(path) = &args.profile_out {
-                if let Err(e) = std::fs::write(path, prof.collapsed()) {
-                    eprintln!("error: cannot write profile {path}: {e}");
-                    return ExitCode::FAILURE;
-                }
-                println!("host profile: {path} (collapsed stacks — feed to flamegraph tooling)");
-            }
-            if let Some(path) = &args.profile_json {
-                let mut sub = MetricsRegistry::new();
-                for (name, m) in run.metrics.iter() {
-                    if name.starts_with("host.profile.") {
-                        match m {
-                            Metric::Counter(v) => sub.counter_set(name, *v),
-                            Metric::Gauge(v) => sub.gauge_set(name, *v),
-                            Metric::Histogram(h) => sub.histogram_set(name, *h),
-                        }
+        if let Some(path) = &args.profile_json {
+            let mut sub = MetricsRegistry::new();
+            for (name, m) in run.metrics.iter() {
+                if name.starts_with("host.profile.") {
+                    match m {
+                        Metric::Counter(v) => sub.counter_set(name, *v),
+                        Metric::Gauge(v) => sub.gauge_set(name, *v),
+                        Metric::Histogram(h) => sub.histogram_set(name, *h),
                     }
                 }
-                if let Err(e) = std::fs::write(path, sub.to_json_string()) {
-                    eprintln!("error: cannot write profile metrics {path}: {e}");
-                    return ExitCode::FAILURE;
-                }
-                println!("host profile metrics: {path} ({} series)", sub.len());
             }
-            println!(
-                "host profile: {:.0} cycles/sec (sampled 1 in {})",
-                prof.cycles_per_sec(),
-                prof.sample_every()
-            );
+            if let Err(e) = std::fs::write(path, sub.to_json_string()) {
+                eprintln!("error: cannot write profile metrics {path}: {e}");
+                return ExitCode::FAILURE;
+            }
+            println!("host profile metrics: {path} ({} series)", sub.len());
         }
-        run.report
-    };
+        println!(
+            "host profile: {:.0} cycles/sec (sampled 1 in {})",
+            prof.cycles_per_sec(),
+            prof.sample_every()
+        );
+    }
+    let report = run.report;
     println!("{report}");
     println!("(simulated in {:.1?})", wall.elapsed());
     if args.scale == Scale::Paper {

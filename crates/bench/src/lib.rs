@@ -18,11 +18,10 @@ use gnna_core::config::AcceleratorConfig;
 use gnna_core::layers::{compile_gat, compile_gcn, compile_mpnn, compile_pgnn, CompiledProgram};
 use gnna_core::stats::SimReport;
 use gnna_core::system::System;
-use gnna_faults::FaultPlan;
+pub use gnna_core::system::TraceOptions;
 use gnna_graph::{datasets, Dataset};
 use gnna_models::{Gat, Gcn, GcnNorm, ModelKind, Mpnn, Pgnn};
-use gnna_telemetry::profile::{shared_profiler, SharedProfiler};
-use gnna_telemetry::{shared, MetricsRegistry, SharedTracer, TraceLevel, Tracer};
+use gnna_telemetry::{MetricsRegistry, SharedProfiler, SharedTracer};
 use std::error::Error;
 
 /// A boxed error for harness code.
@@ -153,13 +152,15 @@ pub fn simulate(case: &BenchCase, config: &AcceleratorConfig) -> Result<SimRepor
     Ok(sys.run()?)
 }
 
-/// A simulation run with telemetry attached.
+/// A simulation run with its instruments, as [`simulate_traced_opts`]
+/// returns it.
 #[derive(Debug)]
 pub struct TracedRun {
     /// The usual simulation report.
     pub report: SimReport,
-    /// The tracer holding the Chrome-trace event stream.
-    pub tracer: SharedTracer,
+    /// The tracer holding the Chrome-trace event stream (`None` at
+    /// [`TraceLevel::Off`](gnna_telemetry::TraceLevel::Off)).
+    pub tracer: Option<SharedTracer>,
     /// Module counters harvested after the run. When host profiling is
     /// enabled the `host.profile.*` family is merged in here too.
     pub metrics: MetricsRegistry,
@@ -170,63 +171,9 @@ pub struct TracedRun {
     pub profiler: Option<SharedProfiler>,
 }
 
-/// Simulates `case` on `config` with a tracer attached at `level`; the
-/// returned [`TracedRun`] carries the trace and the harvested metrics.
-///
-/// At [`TraceLevel::Off`] this is behaviourally identical to
-/// [`simulate`] (the tracer records nothing and the metrics registry is
-/// still populated from the final counters).
-///
-/// # Errors
-///
-/// Propagates simulator construction/stall errors.
-pub fn simulate_traced(
-    case: &BenchCase,
-    config: &AcceleratorConfig,
-    level: TraceLevel,
-) -> Result<TracedRun, BenchError> {
-    simulate_traced_opts(case, config, &TraceOptions::at_level(level))
-}
-
-/// Knobs for a traced run beyond the bare [`TraceLevel`].
-#[derive(Debug, Clone)]
-pub struct TraceOptions {
-    /// Trace detail level.
-    pub level: TraceLevel,
-    /// Flight-recorder ring size (`None` keeps the tracer default of 256;
-    /// `Some(0)` disables the ring entirely).
-    pub flight_capacity: Option<usize>,
-    /// Deterministic fault-injection plan (`None` — and empty plans —
-    /// leave the run bit-identical to a fault-free simulation).
-    pub fault_plan: Option<FaultPlan>,
-    /// Host-phase profiling: `Some(n)` attaches a
-    /// [`HostProfiler`](gnna_telemetry::HostProfiler) sampling one cycle
-    /// in `n`. `None` (the default) attaches nothing and leaves the run
-    /// bit-identical to an unprofiled simulation.
-    pub profile_sample_every: Option<u64>,
-}
-
-impl TraceOptions {
-    /// Options with the given level and default flight-recorder capacity.
-    pub fn at_level(level: TraceLevel) -> Self {
-        Self {
-            level,
-            flight_capacity: None,
-            fault_plan: None,
-            profile_sample_every: None,
-        }
-    }
-
-    /// Same options with host profiling at the given sampling period.
-    #[must_use]
-    pub fn with_profile(mut self, sample_every: u64) -> Self {
-        self.profile_sample_every = Some(sample_every);
-        self
-    }
-}
-
-/// [`simulate_traced`] with explicit [`TraceOptions`] (e.g. the
-/// `--flight-capacity` flag of `gnna-sim`).
+/// Simulates `case` on `config` with the instruments `opts` asks for
+/// and harvests the module counters. With [`TraceOptions::default`]
+/// the report is identical to [`simulate`]'s.
 ///
 /// # Errors
 ///
@@ -236,30 +183,16 @@ pub fn simulate_traced_opts(
     config: &AcceleratorConfig,
     opts: &TraceOptions,
 ) -> Result<TracedRun, BenchError> {
-    let mut sys = System::new(config, &case.dataset.instances, case.program.clone())?;
-    let tracer = shared(match opts.flight_capacity {
-        Some(cap) => Tracer::with_flight_capacity(opts.level, cap),
-        None => Tracer::new(opts.level),
-    });
-    sys.attach_telemetry(std::rc::Rc::clone(&tracer));
-    if let Some(plan) = &opts.fault_plan {
-        sys.attach_faults(plan)?;
-    }
-    let profiler = opts.profile_sample_every.map(shared_profiler);
-    if let Some(p) = &profiler {
-        sys.attach_profiler(std::rc::Rc::clone(p));
-    }
+    let mut sys =
+        System::with_options(config, &case.dataset.instances, case.program.clone(), opts)?;
     let report = sys.run()?;
     let mut metrics = MetricsRegistry::new();
     sys.harvest_metrics(&mut metrics);
-    if let Some(p) = &profiler {
-        p.borrow().export_metrics(&mut metrics);
-    }
     Ok(TracedRun {
         report,
-        tracer,
+        tracer: sys.tracer().cloned(),
         metrics,
-        profiler,
+        profiler: sys.profiler().cloned(),
     })
 }
 

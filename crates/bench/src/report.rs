@@ -7,6 +7,7 @@
 //! and the report integration tests go through this code, so the renderer
 //! is a pure function of the parsed metrics snapshot.
 
+use gnna_faults::FaultCounters;
 use gnna_telemetry::json::{self, JsonValue};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -299,54 +300,13 @@ fn parse_energy(snap: &MetricsSnapshot) -> Option<EnergyBreakdown> {
     Some(e)
 }
 
-/// Parsed `*.fault.*` counter family for one injection site (`tile{i}`
-/// DNA stall bubbles, `mem{i}` read-path ECC, or `noc` link CRC). All
-/// zeros when the site recorded no activity.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SiteFaults {
-    /// Faults injected by the deterministic plan.
-    pub injected: u64,
-    /// Faults absorbed inline (ECC single-bit, CRC retransmit within
-    /// budget, DNA bubbles).
-    pub corrected: u64,
-    /// Faults resolved by a retry with a latency penalty.
-    pub retried: u64,
-    /// Faults the protection model could not absorb.
-    pub unrecoverable: u64,
-    /// NoC flits delivered with corrupted payloads (CRC caught).
-    pub corrupted: u64,
-    /// NoC flits dropped in transit (CRC/timeout caught).
-    pub dropped: u64,
-    /// Extra cycles spent on retries/backoff/bubbles.
-    pub retry_cycles: u64,
-}
-
-impl SiteFaults {
-    /// The accounting invariant: every injected fault is classified as
-    /// exactly one of corrected / retried / unrecoverable.
-    pub fn partition_holds(&self) -> bool {
-        self.injected == self.corrected + self.retried + self.unrecoverable
-    }
-
-    /// Accumulate another site's counters into this one.
-    pub fn merge(&mut self, other: &SiteFaults) {
-        self.injected += other.injected;
-        self.corrected += other.corrected;
-        self.retried += other.retried;
-        self.unrecoverable += other.unrecoverable;
-        self.corrupted += other.corrupted;
-        self.dropped += other.dropped;
-        self.retry_cycles += other.retry_cycles;
-    }
-}
-
 /// Parse every `{site}.fault.{counter}` metric into per-site rows, in
 /// site order. Empty when the dump carries no fault counters (the
 /// fault-free case: the simulator only emits the family when a fault
 /// plan is attached).
-fn parse_faults(snap: &MetricsSnapshot) -> Vec<(String, SiteFaults)> {
+fn parse_faults(snap: &MetricsSnapshot) -> Vec<(String, FaultCounters)> {
     const FAMILY: &str = ".fault.";
-    let mut map: BTreeMap<String, SiteFaults> = BTreeMap::new();
+    let mut map: BTreeMap<String, FaultCounters> = BTreeMap::new();
     for name in snap.names() {
         let Some(pos) = name.find(FAMILY) else {
             continue;
@@ -354,17 +314,10 @@ fn parse_faults(snap: &MetricsSnapshot) -> Vec<(String, SiteFaults)> {
         let Some(v) = snap.counter(name) else {
             continue;
         };
-        let site = name[..pos].to_string();
-        let entry = map.entry(site).or_default();
-        match &name[pos + FAMILY.len()..] {
-            "injected" => entry.injected = v,
-            "corrected" => entry.corrected = v,
-            "retried" => entry.retried = v,
-            "unrecoverable" => entry.unrecoverable = v,
-            "corrupted" => entry.corrupted = v,
-            "dropped" => entry.dropped = v,
-            "retry_cycles" => entry.retry_cycles = v,
-            _ => {}
+        let counter = &name[pos + FAMILY.len()..];
+        let entry = map.entry(name[..pos].to_string()).or_default();
+        if let Some((_, slot)) = entry.fields_mut().into_iter().find(|(n, _)| *n == counter) {
+            *slot = v;
         }
     }
     map.into_iter().collect()
@@ -524,7 +477,7 @@ pub struct BottleneckReport {
     /// Per-site fault-injection outcomes (`{site}.fault.*`). Empty when
     /// the run had no fault plan attached (the family is only emitted
     /// under injection).
-    pub resilience: Vec<(String, SiteFaults)>,
+    pub resilience: Vec<(String, FaultCounters)>,
     /// Energy attribution, when the run was traced at event level.
     pub energy: Option<EnergyBreakdown>,
     /// Host-phase wall-clock profile, when the run was profiled
@@ -862,7 +815,7 @@ impl BottleneckReport {
                  | corrupted | dropped | retry cycles |"
             );
             let _ = writeln!(o, "|---|---|---|---|---|---|---|---|");
-            let mut total = SiteFaults::default();
+            let mut total = FaultCounters::default();
             for (site, f) in &self.resilience {
                 total.merge(f);
                 let _ = writeln!(
@@ -888,14 +841,21 @@ impl BottleneckReport {
                 total.dropped,
                 total.retry_cycles
             );
+            // Silent corruptions and rollbacks close the partition too;
+            // they are named only when present.
+            let mut terms = format!(
+                "corrected ({}) + retried ({}) + unrecoverable ({})",
+                total.corrected, total.retried, total.unrecoverable
+            );
+            for (name, v) in [("sdc", total.sdc), ("rolled back", total.rolled_back)] {
+                if v > 0 {
+                    let _ = write!(terms, " + {name} ({v})");
+                }
+            }
             let _ = writeln!(
                 o,
-                "\nPartition check: injected ({}) == corrected ({}) + \
-                 retried ({}) + unrecoverable ({}) — {}.",
+                "\nPartition check: injected ({}) == {terms} — {}.",
                 total.injected,
-                total.corrected,
-                total.retried,
-                total.unrecoverable,
                 if total.partition_holds() {
                     "holds"
                 } else {
@@ -1081,18 +1041,8 @@ impl BottleneckReport {
             row(&m, "dram_bytes", bytes.to_string());
             row(&m, "efficiency", format!("{eff:.4}"));
         }
-        for (site, f) in &self.resilience {
-            for (counter, v) in [
-                ("injected", f.injected),
-                ("corrected", f.corrected),
-                ("retried", f.retried),
-                ("unrecoverable", f.unrecoverable),
-                ("corrupted", f.corrupted),
-                ("dropped", f.dropped),
-                ("retry_cycles", f.retry_cycles),
-            ] {
-                row("resilience", &format!("{site}.{counter}"), v.to_string());
-            }
+        for (name, v) in fault_rows(&self.resilience) {
+            row("resilience", &name, v.to_string());
         }
         if let Some(e) = &self.energy {
             row("energy", "total_pj", e.total_pj.to_string());
@@ -1307,8 +1257,8 @@ impl DiffReport {
         d.energy.sort_by(delta_order);
 
         // Resilience: union of both runs' per-site fault counters.
-        let fa = fault_rows(&ra.resilience);
-        let fb = fault_rows(&rb.resilience);
+        let fa: BTreeMap<String, u64> = fault_rows(&ra.resilience).into_iter().collect();
+        let fb: BTreeMap<String, u64> = fault_rows(&rb.resilience).into_iter().collect();
         let keys: std::collections::BTreeSet<&String> = fa.keys().chain(fb.keys()).collect();
         for k in keys {
             d.resilience.push(MetricDelta::new(
@@ -1460,23 +1410,16 @@ fn delta_order(x: &MetricDelta, y: &MetricDelta) -> std::cmp::Ordering {
     .then_with(|| x.name.cmp(&y.name))
 }
 
-/// Flatten per-site fault counters into named integer rows.
-fn fault_rows(resilience: &[(String, SiteFaults)]) -> BTreeMap<String, u64> {
-    let mut m = BTreeMap::new();
+/// Flatten per-site fault counters into `site.counter` rows, in site
+/// then counter order.
+fn fault_rows(resilience: &[(String, FaultCounters)]) -> Vec<(String, u64)> {
+    let mut rows = Vec::new();
     for (site, f) in resilience {
-        for (counter, v) in [
-            ("injected", f.injected),
-            ("corrected", f.corrected),
-            ("retried", f.retried),
-            ("unrecoverable", f.unrecoverable),
-            ("corrupted", f.corrupted),
-            ("dropped", f.dropped),
-            ("retry_cycles", f.retry_cycles),
-        ] {
-            m.insert(format!("{site}.{counter}"), v);
+        for (counter, v) in f.fields() {
+            rows.push((format!("{site}.{counter}"), v));
         }
     }
-    m
+    rows
 }
 
 /// Flatten an optional energy breakdown into named integer-pJ rows.
@@ -2705,7 +2648,10 @@ noc.packet_latency,histogram,,10,100,4,30,10,8,25,29
              \"domain\":\"weights/all\",\"rate_unit\":\"fit\",\
              \"checkpoints\":3,\"rollbacks\":2,\"replayed_cycles\":400,\
              \"checkpoint_pj\":5000}";
-        let text = format!("{}\n{rollback}", campaign_line(1, "protected", 0.0, 1, 1000, 0, 0));
+        let text = format!(
+            "{}\n{rollback}",
+            campaign_line(1, "protected", 0.0, 1, 1000, 0, 0)
+        );
         let records = parse_campaign_jsonl(&text).unwrap();
         assert_eq!(records[0].rollbacks, 0);
         assert_eq!(records[0].domain, "");

@@ -4,7 +4,8 @@
 //! exit code 0 — `--help` prints the usage text to stderr, `--version`
 //! prints `<bin> <workspace version>` to stdout — and `gnna-report
 //! --campaign` fails with a structured error (not a panic or an empty
-//! section) on an empty or truncated sweep file.
+//! section) on an empty or truncated sweep file. `gnna-sim` refuses a
+//! clock that is not finite and positive with a structured error.
 
 use std::process::Command;
 
@@ -127,4 +128,23 @@ fn report_rejects_a_missing_campaign_file_with_a_structured_error() {
     assert!(!out.status.success(), "missing campaign file was accepted");
     let err = String::from_utf8_lossy(&out.stderr);
     assert!(err.contains("cannot read campaign"), "wrong message: {err}");
+}
+
+#[test]
+fn sim_rejects_non_finite_and_zero_clocks() {
+    for clock in ["nan", "0"] {
+        let out = run(
+            env!("CARGO_BIN_EXE_gnna-sim"),
+            &[
+                "--model", "gcn", "--input", "cora", "--smoke", "--clock", clock,
+            ],
+        );
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "--clock {clock}: {err}");
+        assert!(
+            err.contains("invalid accelerator config"),
+            "--clock {clock}: {err}"
+        );
+        assert!(!err.contains("panicked"), "--clock {clock}: {err}");
+    }
 }

@@ -4,9 +4,10 @@
 //! bottleneck report from the files alone.
 
 use gnna_bench::report::{parse_trace_json, BottleneckReport, DiffReport, MetricsSnapshot};
-use gnna_bench::{build_case, simulate_traced, simulate_traced_opts, Scale, TraceOptions};
+use gnna_bench::{build_case, simulate_traced_opts, Scale, TraceOptions};
 use gnna_core::config::AcceleratorConfig;
 use gnna_core::energy::EnergyModel;
+use gnna_faults::FaultPlan;
 use gnna_models::ModelKind;
 use gnna_telemetry::TraceLevel;
 
@@ -16,14 +17,19 @@ fn traced_smoke_run() -> gnna_bench::TracedRun {
 
 fn traced_smoke_run_on(cfg: &AcceleratorConfig) -> gnna_bench::TracedRun {
     let case = build_case(ModelKind::Gcn, "Cora", Scale::Smoke).unwrap();
-    simulate_traced(&case, cfg, TraceLevel::Event).unwrap()
+    simulate_traced_opts(&case, cfg, &TraceOptions::at_level(TraceLevel::Event)).unwrap()
 }
 
 #[test]
 fn report_from_simulated_metrics_reconciles() {
     let run = traced_smoke_run();
     let metrics_json = run.metrics.to_json_string();
-    let trace_json = run.tracer.borrow().to_chrome_json_string();
+    let trace_json = run
+        .tracer
+        .as_ref()
+        .unwrap()
+        .borrow()
+        .to_chrome_json_string();
 
     let snap = MetricsSnapshot::parse(&metrics_json).unwrap();
     let trace = parse_trace_json(&trace_json).unwrap();
@@ -222,9 +228,9 @@ fn flight_capacity_is_honoured() {
         profile_sample_every: None,
     };
     let run = simulate_traced_opts(&case, &cfg, &opts).unwrap();
-    assert_eq!(run.tracer.borrow().flight_capacity(), 7);
+    assert_eq!(run.tracer.as_ref().unwrap().borrow().flight_capacity(), 7);
     // The ring holds at most 7 lines (header excluded).
-    let snapshot = run.tracer.borrow().flight_snapshot();
+    let snapshot = run.tracer.as_ref().unwrap().borrow().flight_snapshot();
     assert!(
         snapshot.lines().count() <= 8,
         "flight ring exceeded capacity:\n{snapshot}"
@@ -239,4 +245,33 @@ fn flight_capacity_is_honoured() {
     };
     let run0 = simulate_traced_opts(&case, &cfg, &opts).unwrap();
     assert_eq!(run0.report.total_cycles, run.report.total_cycles);
+}
+
+#[test]
+fn passthrough_silent_corruption_closes_the_partition() {
+    // Pass-through delivers uncorrectable faults as silent data
+    // corruption; the report must count those `sdc` faults when it
+    // checks injected == corrected + retried + unrecoverable + sdc.
+    let case = build_case(ModelKind::Gcn, "Cora", Scale::Smoke).unwrap();
+    let opts = TraceOptions {
+        fault_plan: Some(FaultPlan::new(42).with_rate(0.01).with_passthrough(true)),
+        ..TraceOptions::default()
+    };
+    let run = simulate_traced_opts(&case, &AcceleratorConfig::cpu_iso_bandwidth(), &opts).unwrap();
+    let snap = MetricsSnapshot::parse(&run.metrics.to_json_string()).unwrap();
+    let report = BottleneckReport::build(&snap, None);
+    let sdc: u64 = report.resilience.iter().map(|(_, f)| f.sdc).sum();
+    assert!(
+        sdc > 0,
+        "pass-through run recorded no sdc: {:?}",
+        report.resilience
+    );
+    let md = report.to_markdown(4);
+    let line = md
+        .lines()
+        .find(|l| l.starts_with("Partition check:"))
+        .expect("partition line");
+    assert!(line.contains(&format!("+ sdc ({sdc})")), "{line}");
+    assert!(line.ends_with("— holds."), "{line}");
+    assert!(report.to_csv().contains("resilience,noc.sdc,"));
 }

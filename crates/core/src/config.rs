@@ -280,6 +280,23 @@ impl AcceleratorConfig {
         Self::base("GPU iso-FLOPS", Topology::gpu_iso_flops())
     }
 
+    /// The Table VI configuration called `name` on the command line or
+    /// the wire: `cpu-iso-bw`, `gpu-iso-bw` or `gpu-iso-flops` (any case).
+    ///
+    /// # Errors
+    ///
+    /// Names the unknown configuration and lists the accepted ones.
+    pub fn by_name(name: &str) -> Result<Self, String> {
+        match name.to_ascii_lowercase().as_str() {
+            "cpu-iso-bw" => Ok(Self::cpu_iso_bandwidth()),
+            "gpu-iso-bw" => Ok(Self::gpu_iso_bandwidth()),
+            "gpu-iso-flops" => Ok(Self::gpu_iso_flops()),
+            other => Err(format!(
+                "unknown config {other} (cpu-iso-bw|gpu-iso-bw|gpu-iso-flops)"
+            )),
+        }
+    }
+
     /// Returns a copy with the core clock set to `hz` (the §VI clock
     /// sweep). The DNA model's clock follows the core clock.
     pub fn with_core_clock(mut self, hz: f64) -> Self {
@@ -331,9 +348,17 @@ impl AcceleratorConfig {
     ///
     /// # Errors
     ///
-    /// Returns [`CoreError::InvalidConfig`] if the core clock does not
-    /// divide the NoC clock to an integer ratio.
+    /// Returns [`CoreError::InvalidConfig`] if either clock is not
+    /// finite and positive, or the core clock does not divide the NoC
+    /// clock to an integer ratio.
     pub fn clock_divider(&self) -> Result<u64, CoreError> {
+        for (name, hz) in [("core", self.core_clock_hz), ("NoC", self.noc_clock_hz)] {
+            if !(hz.is_finite() && hz > 0.0) {
+                return Err(CoreError::InvalidConfig {
+                    reason: format!("{name} clock {hz} Hz must be finite and positive"),
+                });
+            }
+        }
         let ratio = self.noc_clock_hz / self.core_clock_hz;
         if ratio < 1.0 - 1e-9 || (ratio - ratio.round()).abs() > 1e-6 {
             return Err(CoreError::InvalidConfig {
@@ -460,6 +485,30 @@ mod tests {
         c.agg.num_alus = 0;
         assert!(c.validate().is_err());
         assert!(AcceleratorConfig::gpu_iso_flops().validate().is_ok());
+    }
+
+    #[test]
+    fn configurations_parse_by_name() {
+        for (name, tiles) in [("CPU-ISO-BW", 1), ("gpu-iso-bw", 8), ("gpu-iso-flops", 16)] {
+            let c = AcceleratorConfig::by_name(name).unwrap();
+            assert_eq!(c.num_tiles(), tiles, "{name}");
+        }
+        assert!(AcceleratorConfig::by_name("tpu").is_err());
+    }
+
+    #[test]
+    fn non_finite_or_non_positive_clocks_are_rejected() {
+        for hz in [f64::NAN, 0.0, f64::INFINITY, -2.4e9] {
+            let c = AcceleratorConfig::cpu_iso_bandwidth().with_core_clock(hz);
+            assert!(
+                matches!(c.clock_divider(), Err(CoreError::InvalidConfig { .. })),
+                "core clock {hz} accepted"
+            );
+            assert!(c.validate().is_err(), "core clock {hz} validated");
+            let mut c = AcceleratorConfig::cpu_iso_bandwidth();
+            c.noc_clock_hz = hz;
+            assert!(c.validate().is_err(), "NoC clock {hz} validated");
+        }
     }
 
     #[test]

@@ -38,8 +38,8 @@ use gnna_mem::{MemFaultState, MemImage, MemRequest, MemoryController};
 use gnna_noc::NocFaultState;
 use gnna_noc::{Address, Network, NocConfig, Packet, PacketKind, Reassembler};
 use gnna_telemetry::energy::{apportion_pj, CostClass, EnergyLedger, EnergyRates, FJ_PER_PJ};
-use gnna_telemetry::profile::{self, HotPhase, SharedProfiler};
-use gnna_telemetry::{MetricsRegistry, ModuleProbe, SharedTracer, TraceLevel};
+use gnna_telemetry::profile::{self, shared_profiler, HotPhase, SharedProfiler};
+use gnna_telemetry::{shared, MetricsRegistry, ModuleProbe, SharedTracer, TraceLevel, Tracer};
 use gnna_tensor::Matrix;
 use std::collections::{HashMap, VecDeque};
 use std::rc::Rc;
@@ -166,6 +166,51 @@ struct RecoveryState {
     summary: RecoverySummary,
 }
 
+/// The optional instruments of a run, fixed when the [`System`] is
+/// built (see [`System::with_options`]). The default attaches nothing
+/// (level [`TraceLevel::Off`], no fault plan, no profiler).
+#[derive(Debug, Clone)]
+pub struct TraceOptions {
+    /// Trace detail level.
+    pub level: TraceLevel,
+    /// Flight-recorder ring size (`None` keeps the tracer default of 256;
+    /// `Some(0)` disables the ring entirely).
+    pub flight_capacity: Option<usize>,
+    /// Deterministic fault-injection plan (`None` — and empty plans —
+    /// leave the run bit-identical to a fault-free simulation).
+    pub fault_plan: Option<FaultPlan>,
+    /// Host-phase profiling: `Some(n)` attaches a
+    /// [`HostProfiler`](gnna_telemetry::HostProfiler) sampling one cycle
+    /// in `n`. `None` (the default) attaches nothing and leaves the run
+    /// bit-identical to an unprofiled simulation.
+    pub profile_sample_every: Option<u64>,
+}
+
+impl TraceOptions {
+    /// Options with the given level and default flight-recorder capacity.
+    pub fn at_level(level: TraceLevel) -> Self {
+        Self {
+            level,
+            flight_capacity: None,
+            fault_plan: None,
+            profile_sample_every: None,
+        }
+    }
+
+    /// Same options with host profiling at the given sampling period.
+    #[must_use]
+    pub fn with_profile(mut self, sample_every: u64) -> Self {
+        self.profile_sample_every = Some(sample_every);
+        self
+    }
+}
+
+impl Default for TraceOptions {
+    fn default() -> Self {
+        Self::at_level(TraceLevel::Off)
+    }
+}
+
 /// The simulated accelerator system.
 #[derive(Debug)]
 pub struct System {
@@ -205,8 +250,8 @@ pub struct System {
     node_tile: Vec<Option<u32>>,
     /// Scratch for due timer wakes (kept to avoid per-cycle allocation).
     due_scratch: Vec<u32>,
-    /// Checkpoint/rollback recovery (attached by [`System::attach_faults`]
-    /// when the plan selects [`RecoveryMode::Rollback`]).
+    /// Checkpoint/rollback recovery (present when the fault plan selects
+    /// [`RecoveryMode::Rollback`]).
     recovery: Option<RecoveryState>,
     /// Whether any memory controller can raise a sticky fault failure
     /// (finite re-read budget); gates the per-cycle failure poll so the
@@ -215,18 +260,67 @@ pub struct System {
 }
 
 impl System {
+    /// Builds a system with no instruments attached: the same as
+    /// [`System::with_options`] with [`TraceOptions::default`].
+    ///
+    /// # Errors
+    ///
+    /// As [`System::with_options`].
+    pub fn new(
+        cfg: &AcceleratorConfig,
+        instances: &[GraphInstance],
+        program: CompiledProgram,
+    ) -> Result<Self, CoreError> {
+        Self::with_options(cfg, instances, program, &TraceOptions::default())
+    }
+
     /// Builds a system for the given configuration, input instances and
-    /// compiled program, laying out the workload in simulated memory.
+    /// compiled program, laying out the workload in simulated memory, and
+    /// attaches the instruments `opts` asks for before the first cycle:
+    /// the tracer, then the fault plan, then the host profiler.
+    ///
+    /// At [`TraceLevel::Off`] no tracer is attached and the simulation is
+    /// bit-identical to an untraced run. At [`TraceLevel::Phase`] only
+    /// the runtime phase track (CONFIG / layer execute / barrier) is
+    /// recorded. At [`TraceLevel::Event`] every module instance gets its
+    /// own track: per tile GPE/AGG/DNQ/DNA threads, one thread per
+    /// memory controller, and one for the mesh — with instant events for
+    /// stalls and backpressure plus periodic queue-occupancy counters.
+    ///
+    /// The fault plan injects deterministic faults at every protected
+    /// site: SECDED-guarded DRAM reads at each memory controller,
+    /// CRC-checked link traversals with bounded retransmit on the mesh,
+    /// and stall bubbles in each tile's DNA pipeline. Each site derives
+    /// an independent RNG stream from `(plan.seed, site, instance)`, so
+    /// runs are reproducible per seed regardless of topology. Permanent
+    /// faults degrade the system gracefully instead of killing it: each
+    /// dead tile's vertex partition is remapped contiguously onto the
+    /// surviving tiles (counted in the report's [`DegradedSummary`]), and
+    /// traffic detours around dead mesh links via a deterministic BFS
+    /// routing table. An **empty** plan (all rates zero, no permanent
+    /// defects) attaches nothing: the run — and its metric registry —
+    /// stays bit-identical to a fault-free system.
+    ///
+    /// The host profiler records scoped wall-clock phases (config /
+    /// cycle loop / barrier per layer) plus sampled per-module laps
+    /// inside the cycle loop. It reads no simulation state and charges
+    /// no simulated cycles, so the `SimReport` stays bit-identical with
+    /// or without it.
     ///
     /// # Errors
     ///
     /// Returns [`CoreError::InvalidConfig`] or
     /// [`CoreError::CompileError`] if the configuration or program is
-    /// inconsistent with the inputs.
-    pub fn new(
+    /// inconsistent with the inputs, and [`CoreError::InvalidConfig`] if
+    /// the fault plan fails [`FaultPlan::validate`] (non-finite or
+    /// out-of-range rates, duplicate defects), names a dead tile outside
+    /// the topology, kills *every* tile (no survivor to remap onto), or
+    /// its dead links are invalid / disconnect the mesh.
+    pub fn with_options(
         cfg: &AcceleratorConfig,
         instances: &[GraphInstance],
         program: CompiledProgram,
+        opts: &TraceOptions,
     ) -> Result<Self, CoreError> {
         cfg.validate()?;
         program.validate()?;
@@ -360,7 +454,7 @@ impl System {
         for (t, &node) in tile_node.iter().enumerate() {
             node_tile[node] = Some(t as u32);
         }
-        Ok(System {
+        let mut sys = System {
             cfg: cfg.clone(),
             divider,
             net,
@@ -388,23 +482,35 @@ impl System {
             due_scratch: Vec::new(),
             recovery: None,
             mem_can_fail: false,
-        })
+        };
+        if opts.level > TraceLevel::Off {
+            sys.attach_telemetry(shared(match opts.flight_capacity {
+                Some(cap) => Tracer::with_flight_capacity(opts.level, cap),
+                None => Tracer::new(opts.level),
+            }));
+        }
+        if let Some(plan) = &opts.fault_plan {
+            sys.attach_faults(plan)?;
+        }
+        sys.profiler = opts.profile_sample_every.map(shared_profiler);
+        Ok(sys)
     }
 
-    /// Attaches a tracer to the system before [`System::run`].
-    ///
-    /// At [`TraceLevel::Off`] nothing is attached and the simulation is
-    /// bit-identical to an untraced run. At [`TraceLevel::Phase`] only
-    /// the runtime phase track (CONFIG / layer execute / barrier) is
-    /// recorded. At [`TraceLevel::Event`] every module instance gets its
-    /// own track: per tile GPE/AGG/DNQ/DNA threads, one thread per
-    /// memory controller, and one for the mesh — with instant events for
-    /// stalls and backpressure plus periodic queue-occupancy counters.
-    pub fn attach_telemetry(&mut self, tracer: SharedTracer) {
+    /// The tracer the run records into (`None` at [`TraceLevel::Off`]).
+    pub fn tracer(&self) -> Option<&SharedTracer> {
+        self.telemetry.as_ref().map(|t| &t.tracer)
+    }
+
+    /// The host-phase profiler (`None` unless
+    /// [`TraceOptions::profile_sample_every`] asked for one).
+    pub fn profiler(&self) -> Option<&SharedProfiler> {
+        self.profiler.as_ref()
+    }
+
+    /// Registers one track per module instance on `tracer` (above
+    /// [`TraceLevel::Off`]; see [`System::with_options`]).
+    fn attach_telemetry(&mut self, tracer: SharedTracer) {
         let level = tracer.borrow().level();
-        if level == TraceLevel::Off {
-            return;
-        }
         let system = ModuleProbe::new(Rc::clone(&tracer), "system", "runtime");
         let mut tiles = Vec::new();
         let mut mems = Vec::new();
@@ -456,40 +562,9 @@ impl System {
         });
     }
 
-    /// Attaches a host-phase profiler before [`System::run`]: scoped
-    /// wall-clock phases (config / cycle loop / barrier per layer) plus
-    /// sampled per-module laps inside the cycle loop. Purely a host-side
-    /// observer — it reads no simulation state and charges no simulated
-    /// cycles, so the `SimReport` stays bit-identical with or without it.
-    pub fn attach_profiler(&mut self, profiler: SharedProfiler) {
-        self.profiler = Some(profiler);
-    }
-
-    /// Attaches deterministic fault injection to every protected site:
-    /// SECDED-guarded DRAM reads at each memory controller, CRC-checked
-    /// link traversals with bounded retransmit on the mesh, and stall
-    /// bubbles in each tile's DNA pipeline. Each site derives an
-    /// independent RNG stream from `(plan.seed, site, instance)`, so runs
-    /// are reproducible per seed regardless of topology.
-    ///
-    /// Permanent faults degrade the system gracefully instead of killing
-    /// it: each dead tile's vertex partition is remapped contiguously
-    /// onto the surviving tiles (counted in the report's
-    /// [`DegradedSummary`]), and traffic detours around dead mesh links
-    /// via a deterministic BFS routing table.
-    ///
-    /// An **empty** plan (all rates zero, no permanent defects) attaches
-    /// nothing: the run — and its metric registry — stays bit-identical
-    /// to a fault-free system.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::InvalidConfig`] if the plan fails
-    /// [`FaultPlan::validate`] (non-finite or out-of-range rates,
-    /// duplicate defects), names a dead tile outside the topology,
-    /// kills *every* tile (no survivor to remap onto), or its dead
-    /// links are invalid / disconnect the mesh.
-    pub fn attach_faults(&mut self, plan: &FaultPlan) -> Result<(), CoreError> {
+    /// Applies a fault plan to every protected site (see
+    /// [`System::with_options`]).
+    fn attach_faults(&mut self, plan: &FaultPlan) -> Result<(), CoreError> {
         plan.validate().map_err(|e| CoreError::InvalidConfig {
             reason: format!("invalid fault plan: {e}"),
         })?;
@@ -611,15 +686,12 @@ impl System {
         (self.cfg.flit_bytes / 4).max(1) as u64
     }
 
-    /// Builds a protocol-violation error with the flight recorder's tail
-    /// attached (associated fn so field-split borrows can call it while
-    /// holding `&mut` loans on other `System` fields).
-    fn protocol_error(
-        telemetry: &Option<Telemetry>,
-        cycle: u64,
-        site: String,
-        mut msg: String,
-    ) -> CoreError {
+    /// Appends the flight recorder's tail to an error message, so the
+    /// error shows the last events leading up to it (unchanged when no
+    /// tracer is attached or the ring is empty). An associated fn so
+    /// field-split borrows can call it while holding `&mut` loans on
+    /// other `System` fields.
+    fn with_flight_tail(telemetry: &Option<Telemetry>, mut msg: String) -> String {
         if let Some(tele) = telemetry {
             let snap = tele.tracer.borrow().flight_snapshot();
             if !snap.is_empty() {
@@ -627,6 +699,18 @@ impl System {
                 msg.push_str(&snap);
             }
         }
+        msg
+    }
+
+    /// Builds a protocol-violation error with the flight recorder's tail
+    /// attached.
+    fn protocol_error(
+        telemetry: &Option<Telemetry>,
+        cycle: u64,
+        site: String,
+        msg: String,
+    ) -> CoreError {
+        let msg = Self::with_flight_tail(telemetry, msg);
         CoreError::Protocol { cycle, site, msg }
     }
 
@@ -659,43 +743,34 @@ impl System {
     pub fn run(&mut self) -> Result<SimReport, CoreError> {
         let _run_scope = self.profiler.as_ref().map(|p| profile::scope(p, "run"));
         let layers: Vec<Rc<Layer>> = self.program.layers.iter().cloned().map(Rc::new).collect();
-        if self.recovery.is_none() {
-            // Legacy path: no checkpoint state, no extra branches.
-            for layer in layers {
-                self.run_layer(layer)?;
-            }
-        } else {
-            // Free initial checkpoint: the inputs are still pristine in
-            // host memory at run start, so snapshotting them moves no
-            // simulated traffic.
-            let image = self.image.clone();
-            let cycle = self.cycle;
-            if let Some(rec) = self.recovery.as_mut() {
-                rec.checkpoint = Some(Checkpoint {
-                    layer_index: 0,
-                    image,
-                    cycle,
-                });
-            }
-            let mut li = 0usize;
-            while li < layers.len() {
-                match self.run_layer(Rc::clone(&layers[li])) {
-                    Ok(()) => {
-                        li += 1;
-                        self.maybe_checkpoint(li, layers.len());
-                    }
-                    // Detected unrecoverable faults (exhausted ECC
-                    // re-read or CRC retransmit budgets) and protocol
-                    // violations from corrupted payloads roll back to
-                    // the last checkpoint while budget remains.
-                    Err(err @ (CoreError::Fault { .. } | CoreError::Protocol { .. })) => {
-                        match self.try_rollback() {
-                            Some(restart) => li = restart,
-                            None => return Err(err),
-                        }
-                    }
-                    Err(e) => return Err(e),
+        // Free initial checkpoint under rollback recovery: the inputs are
+        // still pristine in host memory at run start, so snapshotting
+        // them moves no simulated traffic.
+        if let Some(rec) = self.recovery.as_mut() {
+            rec.checkpoint = Some(Checkpoint {
+                layer_index: 0,
+                image: self.image.clone(),
+                cycle: self.cycle,
+            });
+        }
+        let mut li = 0usize;
+        while li < layers.len() {
+            match self.run_layer(Rc::clone(&layers[li])) {
+                Ok(()) => {
+                    li += 1;
+                    self.maybe_checkpoint(li, layers.len());
                 }
+                // Detected unrecoverable faults (exhausted ECC re-read or
+                // CRC retransmit budgets) and protocol violations from
+                // corrupted payloads roll back to the last checkpoint
+                // while budget remains (never without recovery).
+                Err(err @ (CoreError::Fault { .. } | CoreError::Protocol { .. })) => {
+                    match self.try_rollback() {
+                        Some(restart) => li = restart,
+                        None => return Err(err),
+                    }
+                }
+                Err(e) => return Err(e),
             }
         }
         let _report_scope = self.profiler.as_ref().map(|p| profile::scope(p, "report"));
@@ -767,7 +842,11 @@ impl System {
             rec.checkpoint.as_ref()?;
             rec.budget
         };
-        if self.recovery.as_ref().is_some_and(|r| r.summary.rollbacks >= u64::from(budget)) {
+        if self
+            .recovery
+            .as_ref()
+            .is_some_and(|r| r.summary.rollbacks >= budget)
+        {
             return None;
         }
         // Settle any still-sleeping nodes (the fault paths do this
@@ -872,18 +951,10 @@ impl System {
                 // and diagnostics cover the full cycle count.
                 self.settle_sleepers();
                 let fail = self.net.fault_failure().expect("checked above");
-                let mut msg = fail.to_string();
-                if let Some(tele) = &self.telemetry {
-                    let snap = tele.tracer.borrow().flight_snapshot();
-                    if !snap.is_empty() {
-                        msg.push('\n');
-                        msg.push_str(&snap);
-                    }
-                }
                 return Err(CoreError::Fault {
                     cycle: self.cycle,
                     site: "noc".into(),
-                    msg,
+                    msg: Self::with_flight_tail(&self.telemetry, fail.to_string()),
                 });
             }
             // Same for an exhausted DRAM re-read budget (only possible
@@ -897,18 +968,10 @@ impl System {
                 {
                     self.settle_sleepers();
                     let fail = self.mems[mi].ctrl.fault_failure().expect("checked above");
-                    let mut msg = fail.to_string();
-                    if let Some(tele) = &self.telemetry {
-                        let snap = tele.tracer.borrow().flight_snapshot();
-                        if !snap.is_empty() {
-                            msg.push('\n');
-                            msg.push_str(&snap);
-                        }
-                    }
                     return Err(CoreError::Fault {
                         cycle: self.cycle,
                         site: format!("mem{mi}"),
-                        msg,
+                        msg: Self::with_flight_tail(&self.telemetry, fail.to_string()),
                     });
                 }
             }
@@ -918,23 +981,14 @@ impl System {
                     // Settle sleeping nodes so the stall diagnostic
                     // reports fully accounted per-module counters.
                     self.settle_sleepers();
-                    let mut detail = format!(
+                    let detail = format!(
                         "layer {} made no progress in {stall_window} cycles (configured stall window); {}",
                         layer.name,
                         self.stall_diagnostic()
                     );
-                    // Attach the flight recorder's tail so the error
-                    // shows the last events leading up to the deadlock.
-                    if let Some(tele) = &self.telemetry {
-                        let snap = tele.tracer.borrow().flight_snapshot();
-                        if !snap.is_empty() {
-                            detail.push('\n');
-                            detail.push_str(&snap);
-                        }
-                    }
                     return Err(CoreError::Stalled {
                         cycle: self.cycle,
-                        detail,
+                        detail: Self::with_flight_tail(&self.telemetry, detail),
                     });
                 }
                 last_progress_marker = marker;
@@ -1729,7 +1783,8 @@ impl System {
     }
 
     /// Dumps every module's counters into `reg` under dotted names
-    /// (`tileN.module.stat`, `memN.stat`, `noc.stat`, `system.stat`).
+    /// (`tileN.module.stat`, `memN.stat`, `noc.stat`, `system.stat`),
+    /// plus the `host.profile.*` family when a profiler is attached.
     pub fn harvest_metrics(&self, reg: &mut MetricsRegistry) {
         reg.counter_set("system.total_cycles", self.cycle);
         reg.counter_set("system.config_cycles", self.config_cycles);
@@ -1819,6 +1874,9 @@ impl System {
         self.net.harvest_metrics(reg);
         // Energy ledger export — no-op without event-level telemetry.
         self.harvest_energy(reg);
+        if let Some(p) = &self.profiler {
+            p.borrow().export_metrics(reg);
+        }
     }
 
     /// Exports one site's fault counters under `prefix` (only called
@@ -1829,19 +1887,14 @@ impl System {
         prefix: &str,
         c: &gnna_faults::FaultCounters,
     ) {
-        reg.counter_set(&format!("{prefix}.injected"), c.injected);
-        reg.counter_set(&format!("{prefix}.corrected"), c.corrected);
-        reg.counter_set(&format!("{prefix}.retried"), c.retried);
-        reg.counter_set(&format!("{prefix}.unrecoverable"), c.unrecoverable);
-        reg.counter_set(&format!("{prefix}.sdc"), c.sdc);
-        // Emitted only when rollbacks actually reclassified faults, so
-        // registries from retry/pass-through runs keep their key set.
-        if c.rolled_back != 0 {
-            reg.counter_set(&format!("{prefix}.rolled_back"), c.rolled_back);
+        for (name, v) in c.fields() {
+            // `rolled_back` is emitted only when rollbacks actually
+            // reclassified faults, so registries from retry/pass-through
+            // runs keep their key set.
+            if name != "rolled_back" || v != 0 {
+                reg.counter_set(&format!("{prefix}.{name}"), v);
+            }
         }
-        reg.counter_set(&format!("{prefix}.corrupted"), c.corrupted);
-        reg.counter_set(&format!("{prefix}.dropped"), c.dropped);
-        reg.counter_set(&format!("{prefix}.retry_cycles"), c.retry_cycles);
     }
 
     /// Builds the per-module energy ledger: every countable event is

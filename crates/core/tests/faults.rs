@@ -7,7 +7,7 @@
 
 use gnna_core::config::AcceleratorConfig;
 use gnna_core::layers::compile_gcn;
-use gnna_core::system::System;
+use gnna_core::system::{System, TraceOptions};
 use gnna_core::CoreError;
 use gnna_faults::{FaultPlan, MeshDir};
 use gnna_graph::datasets;
@@ -18,12 +18,25 @@ use proptest::prelude::*;
 /// The reference workload: a two-layer GCN on synthetic Cora (same
 /// harness as the telemetry golden tests).
 fn gcn_system(cfg: &AcceleratorConfig) -> System {
+    build(cfg, &TraceOptions::default()).unwrap()
+}
+
+/// The reference workload with `plan` applied at construction.
+fn faulty_system(cfg: &AcceleratorConfig, plan: &FaultPlan) -> Result<System, CoreError> {
+    let opts = TraceOptions {
+        fault_plan: Some(plan.clone()),
+        ..TraceOptions::default()
+    };
+    build(cfg, &opts)
+}
+
+fn build(cfg: &AcceleratorConfig, opts: &TraceOptions) -> Result<System, CoreError> {
     let d = datasets::cora_scaled(40, 8, 3, 11).unwrap();
     let gcn = Gcn::for_dataset(8, 4, 3, 2)
         .unwrap()
         .with_norm(GcnNorm::Mean);
     let program = compile_gcn(&gcn).unwrap();
-    System::new(cfg, std::slice::from_ref(&d.instances[0]), program).unwrap()
+    System::with_options(cfg, std::slice::from_ref(&d.instances[0]), program, opts)
 }
 
 #[test]
@@ -35,8 +48,7 @@ fn zero_fault_plan_is_bit_identical_noop() {
     // A plan with all rates zero must leave the run untouched: same
     // report (every counter), same output bits, and no `*.fault.*`
     // metric families in the harvested registry.
-    let mut sys = gcn_system(&cfg);
-    sys.attach_faults(&FaultPlan::new(7)).unwrap();
+    let mut sys = faulty_system(&cfg, &FaultPlan::new(7)).unwrap();
     let report = sys.run().unwrap();
     assert_eq!(
         plain_report, report,
@@ -64,9 +76,7 @@ fn zero_fault_plan_is_bit_identical_noop() {
 #[test]
 fn injected_faults_emit_metric_families() {
     let cfg = AcceleratorConfig::gpu_iso_bandwidth();
-    let mut sys = gcn_system(&cfg);
-    sys.attach_faults(&FaultPlan::new(11).with_rate(0.02))
-        .unwrap();
+    let mut sys = faulty_system(&cfg, &FaultPlan::new(11).with_rate(0.02)).unwrap();
     let report = sys.run().unwrap();
     assert!(
         report.resilience.any(),
@@ -96,16 +106,13 @@ fn injected_faults_emit_metric_families() {
 #[test]
 fn unrecoverable_noc_fault_is_structured_error() {
     let cfg = AcceleratorConfig::gpu_iso_bandwidth();
-    let mut sys = gcn_system(&cfg);
     // Every traversal fails and the budget is tiny: the first packet
     // exhausts its retransmit budget and the run must end in a
     // structured fault error (no panic, no spin).
-    sys.attach_faults(
-        &FaultPlan::new(3)
-            .with_noc_rate(1.0)
-            .with_noc_retry_budget(2),
-    )
-    .unwrap();
+    let plan = FaultPlan::new(3)
+        .with_noc_rate(1.0)
+        .with_noc_retry_budget(2);
+    let mut sys = faulty_system(&cfg, &plan).unwrap();
     match sys.run() {
         Err(CoreError::Fault { site, msg, .. }) => {
             assert_eq!(site, "noc");
@@ -130,9 +137,7 @@ fn dead_tile_remaps_work_onto_survivors() {
         .map(|t| t.gpe_vertices_done)
         .sum();
 
-    let mut sys = gcn_system(&cfg);
-    sys.attach_faults(&FaultPlan::new(5).with_dead_tile(1))
-        .unwrap();
+    let mut sys = faulty_system(&cfg, &FaultPlan::new(5).with_dead_tile(1)).unwrap();
     let report = sys.run().unwrap();
     assert_eq!(report.degraded.dead_tiles, 1);
     assert!(
@@ -154,9 +159,8 @@ fn dead_link_detours_and_completes() {
     let mut clean = gcn_system(&cfg);
     let clean_report = clean.run().unwrap();
 
-    let mut sys = gcn_system(&cfg);
-    sys.attach_faults(&FaultPlan::new(5).with_dead_link(0, 0, MeshDir::East))
-        .unwrap();
+    let dead_link = FaultPlan::new(5).with_dead_link(0, 0, MeshDir::East);
+    let mut sys = faulty_system(&cfg, &dead_link).unwrap();
     let report = sys.run().unwrap();
     assert_eq!(report.degraded.dead_links, 1);
     // The detour delivers everything: same vertices retired, and the
@@ -174,17 +178,16 @@ fn dead_link_detours_and_completes() {
 #[test]
 fn invalid_plans_are_structured_config_errors() {
     let cfg = AcceleratorConfig::gpu_iso_bandwidth();
-    let mut sys = gcn_system(&cfg);
     // Out-of-range rate is rejected up front.
     let mut bad = FaultPlan::new(1);
     bad.mem_rate = f64::NAN;
     assert!(matches!(
-        sys.attach_faults(&bad),
+        faulty_system(&cfg, &bad),
         Err(CoreError::InvalidConfig { .. })
     ));
     // Dead tile outside the topology.
     assert!(matches!(
-        sys.attach_faults(&FaultPlan::new(1).with_dead_tile(usize::MAX)),
+        faulty_system(&cfg, &FaultPlan::new(1).with_dead_tile(usize::MAX)),
         Err(CoreError::InvalidConfig { .. })
     ));
     // A dead link that would disconnect a mesh corner.
@@ -193,7 +196,7 @@ fn invalid_plans_are_structured_config_errors() {
         .with_dead_link(0, 0, MeshDir::South)
         .with_dead_link(0, 0, MeshDir::North);
     assert!(matches!(
-        sys.attach_faults(&plan),
+        faulty_system(&cfg, &plan),
         Err(CoreError::InvalidConfig { .. })
     ));
 }
@@ -206,8 +209,7 @@ fn passthrough_high_rate_reports_silent_corruption() {
         .with_double_bit_fraction(0.5)
         .with_noc_rate(0.01)
         .with_passthrough(true);
-    let mut sys = gcn_system(&cfg);
-    sys.attach_faults(&plan).unwrap();
+    let mut sys = faulty_system(&cfg, &plan).unwrap();
     // Pass-through never returns CoreError::Fault: corrupted words are
     // delivered instead of retried to exhaustion.
     let report = sys.run().unwrap();
@@ -250,11 +252,9 @@ proptest! {
     #[test]
     fn prop_identical_seeds_replay_bit_identically(plan in plan_strategy()) {
         let cfg = AcceleratorConfig::gpu_iso_bandwidth();
-        let mut a = gcn_system(&cfg);
-        a.attach_faults(&plan).unwrap();
+        let mut a = faulty_system(&cfg, &plan).unwrap();
         let ra = a.run().unwrap();
-        let mut b = gcn_system(&cfg);
-        b.attach_faults(&plan).unwrap();
+        let mut b = faulty_system(&cfg, &plan).unwrap();
         let rb = b.run().unwrap();
         prop_assert_eq!(&ra, &rb);
         prop_assert_eq!(a.full_output().into_vec(), b.full_output().into_vec());
@@ -265,8 +265,7 @@ proptest! {
     #[test]
     fn prop_fault_counters_partition_exactly(plan in plan_strategy()) {
         let cfg = AcceleratorConfig::gpu_iso_bandwidth();
-        let mut sys = gcn_system(&cfg);
-        sys.attach_faults(&plan).unwrap();
+        let mut sys = faulty_system(&cfg, &plan).unwrap();
         let report = sys.run().unwrap();
         let r = &report.resilience;
         for (site, c) in [("mem", r.mem), ("noc", r.noc), ("dna", r.dna)] {
@@ -293,8 +292,7 @@ proptest! {
             .with_mem_rate(0.02)
             .with_stall_rate(0.02)
             .with_double_bit_fraction(0.0); // single-bit only: no retries
-        let mut faulty = gcn_system(&cfg);
-        faulty.attach_faults(&plan).unwrap();
+        let mut faulty = faulty_system(&cfg, &plan).unwrap();
         let report = faulty.run().unwrap();
 
         prop_assert_eq!(

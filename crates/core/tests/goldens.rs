@@ -36,7 +36,7 @@
 
 use gnna_core::config::AcceleratorConfig;
 use gnna_core::layers::{compile_gat, compile_gcn, compile_mpnn, compile_pgnn};
-use gnna_core::system::System;
+use gnna_core::system::{System, TraceOptions};
 use gnna_faults::{FaultPlan, MeshDir};
 use gnna_graph::datasets;
 use gnna_models::{Gat, Gcn, GcnNorm, Mpnn, Pgnn};
@@ -56,10 +56,15 @@ fn config_for(name: &str) -> AcceleratorConfig {
     }
 }
 
-/// Builds the cell's system: small scaled datasets (the same shapes the
-/// end-to-end functional tests use) so the whole 24-cell corpus runs in
-/// seconds while still exercising every module and both mesh layouts.
-fn system_for(model: &str, cfg: &AcceleratorConfig) -> System {
+/// Builds the cell's system with `fault_plan` applied: small scaled
+/// datasets (the same shapes the end-to-end functional tests use) so the
+/// whole 24-cell corpus runs in seconds while still exercising every
+/// module and both mesh layouts.
+fn system_for(model: &str, cfg: &AcceleratorConfig, fault_plan: Option<FaultPlan>) -> System {
+    let opts = TraceOptions {
+        fault_plan,
+        ..TraceOptions::default()
+    };
     match model {
         "gcn" => {
             let d = datasets::cora_scaled(30, 12, 4, 3).unwrap();
@@ -67,25 +72,28 @@ fn system_for(model: &str, cfg: &AcceleratorConfig) -> System {
                 .unwrap()
                 .with_norm(GcnNorm::Mean);
             let program = compile_gcn(&gcn).unwrap();
-            System::new(cfg, std::slice::from_ref(&d.instances[0]), program).unwrap()
+            System::with_options(cfg, std::slice::from_ref(&d.instances[0]), program, &opts)
+                .unwrap()
         }
         "gat" => {
             let d = datasets::cora_scaled(24, 10, 3, 7).unwrap();
             let gat = Gat::for_dataset(10, 3, 6).unwrap();
             let program = compile_gat(&gat).unwrap();
-            System::new(cfg, std::slice::from_ref(&d.instances[0]), program).unwrap()
+            System::with_options(cfg, std::slice::from_ref(&d.instances[0]), program, &opts)
+                .unwrap()
         }
         "mpnn" => {
             let d = datasets::qm9_scaled(4, 5).unwrap();
             let mpnn = Mpnn::for_dataset(13, 5, 8, 6, 2, 3).unwrap();
             let program = compile_mpnn(&mpnn).unwrap();
-            System::new(cfg, &d.instances, program).unwrap()
+            System::with_options(cfg, &d.instances, program, &opts).unwrap()
         }
         "pgnn" => {
             let d = datasets::dblp_scaled(25, 9).unwrap();
             let pgnn = Pgnn::for_dataset(1, 6, 3, 4).unwrap();
             let program = compile_pgnn(&pgnn).unwrap();
-            System::new(cfg, std::slice::from_ref(&d.instances[0]), program).unwrap()
+            System::with_options(cfg, std::slice::from_ref(&d.instances[0]), program, &opts)
+                .unwrap()
         }
         other => panic!("unknown model {other}"),
     }
@@ -128,10 +136,7 @@ const FNV_OFFSET: u64 = 0xCBF2_9CE4_8422_2325;
 /// the full `SimReport` debug rendering and the output-matrix bits.
 fn digest_cell(model: &str, config: &str, mode: &str) -> u64 {
     let cfg = config_for(config);
-    let mut sys = system_for(model, &cfg);
-    if let Some(plan) = plan_for(mode, config) {
-        sys.attach_faults(&plan).unwrap();
-    }
+    let mut sys = system_for(model, &cfg, plan_for(mode, config));
     let report = sys.run().unwrap();
     let mut h = fnv1a(format!("{report:?}").bytes(), FNV_OFFSET);
     for v in sys.full_output().into_vec() {
@@ -222,22 +227,16 @@ fn corpus_cells_are_deterministic_in_process() {
 #[test]
 fn fault_modes_exercise_their_subsystems() {
     let cfg = config_for("gpu-iso");
-    let mut sys = system_for("gcn", &cfg);
-    sys.attach_faults(&plan_for("transient", "gpu-iso").unwrap())
-        .unwrap();
+    let mut sys = system_for("gcn", &cfg, plan_for("transient", "gpu-iso"));
     let r = sys.run().unwrap();
     assert!(r.resilience.any(), "transient plan injected nothing: {r:?}");
 
-    let mut sys = system_for("gcn", &cfg);
-    sys.attach_faults(&plan_for("degraded", "gpu-iso").unwrap())
-        .unwrap();
+    let mut sys = system_for("gcn", &cfg, plan_for("degraded", "gpu-iso"));
     let r = sys.run().unwrap();
     assert_eq!(r.degraded.dead_links, 1);
 
     let cfg = config_for("cpu-iso");
-    let mut sys = system_for("gcn", &cfg);
-    sys.attach_faults(&plan_for("degraded", "cpu-iso").unwrap())
-        .unwrap();
+    let mut sys = system_for("gcn", &cfg, plan_for("degraded", "cpu-iso"));
     let r = sys.run().unwrap();
     assert!(
         r.resilience.mem.injected > 0,

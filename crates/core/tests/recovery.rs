@@ -8,23 +8,35 @@
 use gnna_core::config::AcceleratorConfig;
 use gnna_core::energy::EnergyModel;
 use gnna_core::layers::compile_gcn;
-use gnna_core::system::System;
+use gnna_core::system::{System, TraceOptions};
 use gnna_core::CoreError;
 use gnna_faults::{FaultPlan, RecoveryMode};
 use gnna_graph::datasets;
 use gnna_models::{Gcn, GcnNorm};
-use gnna_telemetry::{shared, MetricsRegistry, TraceLevel, Tracer};
-use std::rc::Rc;
+use gnna_telemetry::{MetricsRegistry, TraceLevel};
 
 /// The reference workload: a two-layer GCN on synthetic Cora (same
 /// harness as the fault and telemetry golden tests).
 fn gcn_system(cfg: &AcceleratorConfig) -> System {
+    build(cfg, &TraceOptions::default())
+}
+
+/// The reference workload with `plan` applied at construction.
+fn faulty_system(cfg: &AcceleratorConfig, plan: FaultPlan) -> System {
+    let opts = TraceOptions {
+        fault_plan: Some(plan),
+        ..TraceOptions::default()
+    };
+    build(cfg, &opts)
+}
+
+fn build(cfg: &AcceleratorConfig, opts: &TraceOptions) -> System {
     let d = datasets::cora_scaled(40, 8, 3, 11).unwrap();
     let gcn = Gcn::for_dataset(8, 4, 3, 2)
         .unwrap()
         .with_norm(GcnNorm::Mean);
     let program = compile_gcn(&gcn).unwrap();
-    System::new(cfg, std::slice::from_ref(&d.instances[0]), program).unwrap()
+    System::with_options(cfg, std::slice::from_ref(&d.instances[0]), program, opts).unwrap()
 }
 
 /// A plan whose only unrecoverable hazard is DRAM double-bit re-read
@@ -53,8 +65,7 @@ fn rollback_replay_is_bit_identical_to_fault_free_reference() {
 
     let mut exercised = false;
     for seed in 1..=60 {
-        let mut sys = gcn_system(&cfg);
-        sys.attach_faults(&rollback_plan(seed)).unwrap();
+        let mut sys = faulty_system(&cfg, rollback_plan(seed));
         let Ok(report) = sys.run() else {
             // Rollback budget can still exhaust at pathological seeds;
             // those runs are covered by the budget test below.
@@ -119,11 +130,9 @@ fn rollback_replay_is_bit_identical_to_fault_free_reference() {
 fn rollback_runs_are_seed_stable() {
     let cfg = AcceleratorConfig::gpu_iso_bandwidth();
     for seed in [3, 17, 29] {
-        let mut a = gcn_system(&cfg);
-        a.attach_faults(&rollback_plan(seed)).unwrap();
+        let mut a = faulty_system(&cfg, rollback_plan(seed));
         let ra = a.run();
-        let mut b = gcn_system(&cfg);
-        b.attach_faults(&rollback_plan(seed)).unwrap();
+        let mut b = faulty_system(&cfg, rollback_plan(seed));
         let rb = b.run();
         match (ra, rb) {
             (Ok(ra), Ok(rb)) => {
@@ -147,18 +156,17 @@ fn rollback_runs_are_seed_stable() {
 #[test]
 fn exhausted_rollback_budget_degrades_to_structured_fault() {
     let cfg = AcceleratorConfig::gpu_iso_bandwidth();
-    let mut sys = gcn_system(&cfg);
     // Every traversal corrupts and the retransmit budget is tiny: each
     // forward attempt fails almost immediately, so two rollbacks can
     // never finish the layer and the third failure must surface.
-    sys.attach_faults(
-        &FaultPlan::new(3)
+    let mut sys = faulty_system(
+        &cfg,
+        FaultPlan::new(3)
             .with_noc_rate(1.0)
             .with_noc_retry_budget(2)
             .with_recovery(RecoveryMode::Rollback)
             .with_rollback_budget(2),
-    )
-    .unwrap();
+    );
     match sys.run() {
         Err(CoreError::Fault { site, msg, .. }) => {
             assert_eq!(site, "noc");
@@ -190,8 +198,7 @@ fn checkpoints_cost_cycles_but_keep_outputs_exact() {
         .with_double_bit_fraction(0.0) // single-bit only: always corrected
         .with_recovery(RecoveryMode::Rollback)
         .with_checkpoint_interval(1);
-    let mut sys = gcn_system(&cfg);
-    sys.attach_faults(&plan).unwrap();
+    let mut sys = faulty_system(&cfg, plan);
     let report = sys.run().unwrap();
 
     assert_eq!(report.recovery.rollbacks, 0);
@@ -221,18 +228,18 @@ fn checkpoints_cost_cycles_but_keep_outputs_exact() {
 fn checkpoint_energy_conserves_ledger_total() {
     let cfg = AcceleratorConfig::gpu_iso_bandwidth();
     let model = EnergyModel::default();
-    let mut sys = gcn_system(&cfg);
+    let opts = TraceOptions {
+        fault_plan: Some(
+            FaultPlan::new(11)
+                .with_mem_rate(0.01)
+                .with_double_bit_fraction(0.0)
+                .with_recovery(RecoveryMode::Rollback)
+                .with_checkpoint_interval(1),
+        ),
+        ..TraceOptions::at_level(TraceLevel::Event)
+    };
+    let mut sys = build(&cfg, &opts);
     sys.set_energy_model(model);
-    sys.attach_faults(
-        &FaultPlan::new(11)
-            .with_mem_rate(0.01)
-            .with_double_bit_fraction(0.0)
-            .with_recovery(RecoveryMode::Rollback)
-            .with_checkpoint_interval(1),
-    )
-    .unwrap();
-    let tracer = shared(Tracer::new(TraceLevel::Event));
-    sys.attach_telemetry(Rc::clone(&tracer));
     let report = sys.run().unwrap();
     assert!(report.recovery.checkpoints > 0);
 

@@ -6,21 +6,27 @@ use gnna_core::config::AcceleratorConfig;
 use gnna_core::energy::EnergyModel;
 use gnna_core::layers::compile_gcn;
 use gnna_core::stats::{SimReport, StallCause};
-use gnna_core::system::System;
+use gnna_core::system::{System, TraceOptions};
 use gnna_graph::datasets;
 use gnna_models::{Gcn, GcnNorm};
-use gnna_telemetry::{json, shared, MetricsRegistry, TraceLevel, Tracer};
+use gnna_telemetry::{json, MetricsRegistry, TraceLevel};
 use proptest::prelude::*;
 use std::rc::Rc;
 
 /// Builds the reference workload: a two-layer GCN on synthetic Cora.
 fn gcn_system(cfg: &AcceleratorConfig) -> System {
+    traced_system(cfg, TraceLevel::Off)
+}
+
+/// The reference workload with a tracer attached at `level`.
+fn traced_system(cfg: &AcceleratorConfig, level: TraceLevel) -> System {
     let d = datasets::cora_scaled(40, 8, 3, 11).unwrap();
     let gcn = Gcn::for_dataset(8, 4, 3, 2)
         .unwrap()
         .with_norm(GcnNorm::Mean);
     let program = compile_gcn(&gcn).unwrap();
-    System::new(cfg, std::slice::from_ref(&d.instances[0]), program).unwrap()
+    let opts = TraceOptions::at_level(level);
+    System::with_options(cfg, std::slice::from_ref(&d.instances[0]), program, &opts).unwrap()
 }
 
 #[test]
@@ -29,9 +35,8 @@ fn tracing_does_not_perturb_cycle_count() {
     let mut plain = gcn_system(&cfg);
     let plain_report = plain.run().unwrap();
 
-    let mut traced = gcn_system(&cfg);
-    let tracer = shared(Tracer::new(TraceLevel::Event));
-    traced.attach_telemetry(Rc::clone(&tracer));
+    let mut traced = traced_system(&cfg, TraceLevel::Event);
+    let tracer = Rc::clone(traced.tracer().unwrap());
     let traced_report = traced.run().unwrap();
 
     assert_eq!(
@@ -58,9 +63,8 @@ fn tracing_does_not_perturb_cycle_count() {
 #[test]
 fn trace_reconciles_with_report_counters() {
     let cfg = AcceleratorConfig::gpu_iso_bandwidth();
-    let mut sys = gcn_system(&cfg);
-    let tracer = shared(Tracer::new(TraceLevel::Event));
-    sys.attach_telemetry(Rc::clone(&tracer));
+    let mut sys = traced_system(&cfg, TraceLevel::Event);
+    let tracer = Rc::clone(sys.tracer().unwrap());
     let report = sys.run().unwrap();
     let tracer = tracer.borrow();
 
@@ -144,9 +148,8 @@ fn stall_causes_partition_blocked_cycles() {
 #[test]
 fn event_trace_yields_link_utilisation_and_latency_quantiles() {
     let cfg = AcceleratorConfig::gpu_iso_bandwidth();
-    let mut sys = gcn_system(&cfg);
-    let tracer = shared(Tracer::new(TraceLevel::Event));
-    sys.attach_telemetry(Rc::clone(&tracer));
+    let mut sys = traced_system(&cfg, TraceLevel::Event);
+    let tracer = Rc::clone(sys.tracer().unwrap());
     sys.run().unwrap();
     let mut reg = MetricsRegistry::new();
     sys.harvest_metrics(&mut reg);
@@ -192,9 +195,8 @@ fn event_trace_yields_link_utilisation_and_latency_quantiles() {
 fn chrome_json_is_valid_and_has_all_module_tracks() {
     let cfg = AcceleratorConfig::gpu_iso_bandwidth();
     let num_tiles = cfg.num_tiles();
-    let mut sys = gcn_system(&cfg);
-    let tracer = shared(Tracer::new(TraceLevel::Event));
-    sys.attach_telemetry(Rc::clone(&tracer));
+    let mut sys = traced_system(&cfg, TraceLevel::Event);
+    let tracer = Rc::clone(sys.tracer().unwrap());
     let report = sys.run().unwrap();
 
     let doc = tracer.borrow().to_chrome_json_string();
@@ -268,9 +270,8 @@ fn chrome_json_is_valid_and_has_all_module_tracks() {
 #[test]
 fn phase_level_records_only_the_runtime_track() {
     let cfg = AcceleratorConfig::cpu_iso_bandwidth();
-    let mut sys = gcn_system(&cfg);
-    let tracer = shared(Tracer::new(TraceLevel::Phase));
-    sys.attach_telemetry(Rc::clone(&tracer));
+    let mut sys = traced_system(&cfg, TraceLevel::Phase);
+    let tracer = Rc::clone(sys.tracer().unwrap());
     let report = sys.run().unwrap();
     let tracer = tracer.borrow();
     assert_eq!(
@@ -332,10 +333,10 @@ fn traced_energy_run(
         .unwrap()
         .with_norm(GcnNorm::Mean);
     let program = compile_gcn(&gcn).unwrap();
-    let mut sys = System::new(cfg, std::slice::from_ref(&d.instances[0]), program).unwrap();
+    let opts = TraceOptions::at_level(TraceLevel::Event);
+    let mut sys =
+        System::with_options(cfg, std::slice::from_ref(&d.instances[0]), program, &opts).unwrap();
     sys.set_energy_model(model);
-    let tracer = shared(Tracer::new(TraceLevel::Event));
-    sys.attach_telemetry(Rc::clone(&tracer));
     let report = sys.run().unwrap();
     let mut reg = MetricsRegistry::new();
     sys.harvest_metrics(&mut reg);

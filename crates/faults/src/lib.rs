@@ -828,17 +828,35 @@ impl FaultCounters {
         self.injected == self.resolved()
     }
 
+    /// Every counter as `(metric name, slot)`, in declaration order: the
+    /// one name list that `{site}.fault.{name}` metric exporters and
+    /// parsers share.
+    pub fn fields_mut(&mut self) -> [(&'static str, &mut u64); 9] {
+        [
+            ("injected", &mut self.injected),
+            ("corrected", &mut self.corrected),
+            ("retried", &mut self.retried),
+            ("unrecoverable", &mut self.unrecoverable),
+            ("sdc", &mut self.sdc),
+            ("rolled_back", &mut self.rolled_back),
+            ("corrupted", &mut self.corrupted),
+            ("dropped", &mut self.dropped),
+            ("retry_cycles", &mut self.retry_cycles),
+        ]
+    }
+
+    /// Every counter as `(metric name, value)`, in the order of
+    /// [`FaultCounters::fields_mut`].
+    pub fn fields(&self) -> [(&'static str, u64); 9] {
+        let mut copy = *self;
+        copy.fields_mut().map(|(name, v)| (name, *v))
+    }
+
     /// Accumulates `other` into `self` (site → aggregate roll-up).
     pub fn merge(&mut self, other: &FaultCounters) {
-        self.injected += other.injected;
-        self.corrected += other.corrected;
-        self.retried += other.retried;
-        self.unrecoverable += other.unrecoverable;
-        self.sdc += other.sdc;
-        self.rolled_back += other.rolled_back;
-        self.corrupted += other.corrupted;
-        self.dropped += other.dropped;
-        self.retry_cycles += other.retry_cycles;
+        for ((_, mine), (_, theirs)) in self.fields_mut().into_iter().zip(other.fields()) {
+            *mine += theirs;
+        }
     }
 
     /// Whether any fault was injected.

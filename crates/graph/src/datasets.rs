@@ -100,6 +100,25 @@ pub fn spec_by_name(name: &str) -> Option<&'static DatasetSpec> {
     TABLE_V.iter().find(|s| s.name.eq_ignore_ascii_case(name))
 }
 
+/// The canonical [`TABLE_V`] name of the dataset called `name` on the
+/// command line or the wire: any case of a Table V name, plus the short
+/// aliases `qm9` and `dblp`.
+///
+/// # Errors
+///
+/// Names the unknown input and lists the accepted ones.
+pub fn parse_name(name: &str) -> Result<&'static str, String> {
+    let lower = name.to_ascii_lowercase();
+    let full = match lower.as_str() {
+        "qm9" => "qm9_1000",
+        "dblp" => "dblp_1",
+        other => other,
+    };
+    spec_by_name(full)
+        .map(|spec| spec.name)
+        .ok_or_else(|| format!("unknown input {lower} (cora|citeseer|pubmed|qm9|dblp)"))
+}
+
 /// A named collection of [`GraphInstance`]s with a common output width.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Dataset {
@@ -346,6 +365,10 @@ mod tests {
         assert_eq!(spec_by_name("cora").unwrap().total_nodes, 2708);
         assert_eq!(spec_by_name("QM9_1000").unwrap().graphs, 1000);
         assert!(spec_by_name("imagenet").is_none());
+        assert_eq!(parse_name("Citeseer"), Ok("Citeseer"));
+        assert_eq!(parse_name("qm9"), Ok("QM9_1000"));
+        assert_eq!(parse_name("DBLP_1"), Ok("DBLP_1"));
+        assert!(parse_name("imagenet").is_err());
     }
 
     #[test]

@@ -67,6 +67,22 @@ pub enum ModelKind {
 }
 
 impl ModelKind {
+    /// The model called `name` on the command line or the wire: `gcn`,
+    /// `gat`, `mpnn` or `pgnn` (any case).
+    ///
+    /// # Errors
+    ///
+    /// Names the unknown model and lists the accepted ones.
+    pub fn parse(name: &str) -> Result<Self, String> {
+        match name.to_ascii_lowercase().as_str() {
+            "gcn" => Ok(ModelKind::Gcn),
+            "gat" => Ok(ModelKind::Gat),
+            "mpnn" => Ok(ModelKind::Mpnn),
+            "pgnn" => Ok(ModelKind::Pgnn),
+            other => Err(format!("unknown model {other} (gcn|gat|mpnn|pgnn)")),
+        }
+    }
+
     /// The paper's name for this model.
     pub fn name(self) -> &'static str {
         match self {
@@ -102,6 +118,9 @@ mod tests {
     fn model_kind_names() {
         assert_eq!(ModelKind::Gcn.name(), "GCN");
         assert_eq!(ModelKind::Pgnn.to_string(), "PGNN");
+        assert_eq!(ModelKind::parse("GAT"), Ok(ModelKind::Gat));
+        assert_eq!(ModelKind::parse("mpnn"), Ok(ModelKind::Mpnn));
+        assert!(ModelKind::parse("cnn").is_err());
     }
 
     #[test]

@@ -152,14 +152,7 @@ fn parse_args() -> Result<Args, String> {
                 cfg.read_timeout = Duration::from_millis(ms);
             }
             "--trace-out" => cfg.trace_out = Some(value("--trace-out")?),
-            "--config" => {
-                cfg.accel = match value("--config")?.to_ascii_lowercase().as_str() {
-                    "cpu-iso-bw" => AcceleratorConfig::cpu_iso_bandwidth(),
-                    "gpu-iso-bw" => AcceleratorConfig::gpu_iso_bandwidth(),
-                    "gpu-iso-flops" => AcceleratorConfig::gpu_iso_flops(),
-                    other => return Err(format!("unknown config {other}")),
-                }
-            }
+            "--config" => cfg.accel = AcceleratorConfig::by_name(&value("--config")?)?,
             "--smoke" => cfg.scale = Scale::Smoke,
             "--load" => load = true,
             "--load-jobs" => {

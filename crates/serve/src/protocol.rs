@@ -9,6 +9,7 @@
 //! reproductions of the `gnna-models` reference — the property the
 //! load harness and CI verify.
 
+use gnna_graph::datasets;
 use gnna_models::ModelKind;
 use gnna_telemetry::json::{self, JsonValue};
 
@@ -89,31 +90,6 @@ pub struct JobRequest {
     /// Optional client deadline in milliseconds: the job is shed at
     /// admission when the queue's wait estimate already exceeds it.
     pub deadline_ms: Option<u64>,
-}
-
-fn parse_model(s: &str) -> Result<ModelKind, String> {
-    match s.to_ascii_lowercase().as_str() {
-        "gcn" => Ok(ModelKind::Gcn),
-        "gat" => Ok(ModelKind::Gat),
-        "mpnn" => Ok(ModelKind::Mpnn),
-        "pgnn" => Ok(ModelKind::Pgnn),
-        other => Err(format!("unknown model {other:?} (gcn|gat|mpnn|pgnn)")),
-    }
-}
-
-/// Canonicalizes a dataset name from the wire (same aliases as the
-/// `gnna-campaign` CLI).
-pub fn parse_input_name(s: &str) -> Result<&'static str, String> {
-    match s.to_ascii_lowercase().as_str() {
-        "cora" => Ok("Cora"),
-        "citeseer" => Ok("Citeseer"),
-        "pubmed" => Ok("Pubmed"),
-        "qm9_1000" | "qm9" => Ok("QM9_1000"),
-        "dblp_1" | "dblp" => Ok("DBLP_1"),
-        other => Err(format!(
-            "unknown input {other:?} (cora|citeseer|pubmed|qm9|dblp)"
-        )),
-    }
 }
 
 fn parse_inline_graph(v: &JsonValue) -> Result<InlineGraph, String> {
@@ -202,7 +178,7 @@ fn parse_inline_graph(v: &JsonValue) -> Result<InlineGraph, String> {
 /// client as an HTTP 400).
 pub fn parse_job(body: &str) -> Result<JobRequest, String> {
     let v = json::parse(body).map_err(|e| format!("bad JSON: {e}"))?;
-    let model = parse_model(
+    let model = ModelKind::parse(
         v.get("model")
             .and_then(JsonValue::as_str)
             .ok_or("missing \"model\"")?,
@@ -245,7 +221,7 @@ pub fn parse_job(body: &str) -> Result<JobRequest, String> {
                 .transpose()?
                 .unwrap_or(0) as usize;
             JobInput::Named {
-                input: parse_input_name(name)?,
+                input: datasets::parse_name(name)?,
                 instance,
             }
         }
