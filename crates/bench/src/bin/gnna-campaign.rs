@@ -184,7 +184,9 @@ fn parse_args() -> Result<Args, String> {
     // rates are unbounded, so the check waits until the unit is known.
     if spec.rate_unit == RateUnit::PerEvent {
         if let Some(r) = spec.rates.iter().find(|r| !(0.0..=1.0).contains(*r)) {
-            return Err(format!("rate {r} outside [0, 1] (use --rate-unit fit for physical rates)"));
+            return Err(format!(
+                "rate {r} outside [0, 1] (use --rate-unit fit for physical rates)"
+            ));
         }
     }
     Ok(Args {

@@ -407,7 +407,12 @@ fn main() -> ExitCode {
         println!(
             "fault injection: mem rate {} noc rate {} seed {} recovery {} \
              (SECDED mem [{}], CRC+retransmit noc [{}], DNA bubbles)",
-            plan.mem_rate, plan.noc_rate, plan.seed, plan.recovery, plan.ecc_domain, plan.crc_domain
+            plan.mem_rate,
+            plan.noc_rate,
+            plan.seed,
+            plan.recovery,
+            plan.ecc_domain,
+            plan.crc_domain
         );
         fault_plan = Some(plan);
     }

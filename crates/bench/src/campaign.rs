@@ -607,8 +607,16 @@ mod tests {
         // 1000 FIT / 1000 upsets per Gbit·h at the 2.4 GHz default
         // clock are astronomically small per event; the acceleration
         // factor lifts them into observable-but-valid territory.
-        assert!(plan.noc_rate > 0.0 && plan.noc_rate < 1.0, "{}", plan.noc_rate);
-        assert!(plan.mem_rate > 0.0 && plan.mem_rate < 1.0, "{}", plan.mem_rate);
+        assert!(
+            plan.noc_rate > 0.0 && plan.noc_rate < 1.0,
+            "{}",
+            plan.noc_rate
+        );
+        assert!(
+            plan.mem_rate > 0.0 && plan.mem_rate < 1.0,
+            "{}",
+            plan.mem_rate
+        );
         assert_eq!(plan.mem_stuck_rate, 0.0);
         assert!(plan.validate().is_ok());
     }

@@ -1094,7 +1094,10 @@ mod tests {
             .validate()
             .unwrap_err();
         assert!(err.to_string().contains("checkpoint_interval_layers"));
-        assert!(FaultPlan::new(1).with_checkpoint_interval(3).validate().is_ok());
+        assert!(FaultPlan::new(1)
+            .with_checkpoint_interval(3)
+            .validate()
+            .is_ok());
     }
 
     #[test]

@@ -109,7 +109,10 @@ fn crc_back_to_back_corrupted_retransmits_are_all_detected() {
     // collision with the clean CRC anywhere in the burst would deliver
     // a corrupt flit as good data instead of surfacing a dead link.
     let budget = FaultPlan::new(1).noc_retry_budget as usize;
-    assert_eq!(budget, 8, "default NoC retry budget moved; re-pin the burst");
+    assert_eq!(
+        budget, 8,
+        "default NoC retry budget moved; re-pin the burst"
+    );
     let payload: Vec<u8> = (0u8..64).map(|i| i.wrapping_mul(37) ^ 0x5A).collect();
     let clean = crc::crc32(&payload);
     let mut detected = 0usize;

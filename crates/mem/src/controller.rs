@@ -1,5 +1,7 @@
 use crate::MemImage;
-use gnna_faults::{ecc, EccDomain, FaultCounters, FaultPlan, FaultSite, SiteInjector, StuckLineModel};
+use gnna_faults::{
+    ecc, EccDomain, FaultCounters, FaultPlan, FaultSite, SiteInjector, StuckLineModel,
+};
 use gnna_telemetry::{CostClass, ModuleProbe};
 use std::collections::VecDeque;
 use std::fmt;

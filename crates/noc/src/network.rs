@@ -560,8 +560,7 @@ impl<T> Network<T> {
         for link in &mut self.out_link {
             link.clear();
         }
-        self.out_credits
-            .fill(self.cfg.input_buffer_flits as u32);
+        self.out_credits.fill(self.cfg.input_buffer_flits as u32);
         self.out_owner.fill(NO_OWNER);
         self.out_rr.fill(0);
         self.buffered_flits.fill(0);

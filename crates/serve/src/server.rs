@@ -466,9 +466,7 @@ pub fn serve(cfg: ServeConfig) -> io::Result<ServerHandle> {
                     break;
                 }
                 let Ok(stream) = stream else { continue };
-                if shared.max_conns > 0
-                    && shared.conns.load(Ordering::SeqCst) >= shared.max_conns
-                {
+                if shared.max_conns > 0 && shared.conns.load(Ordering::SeqCst) >= shared.max_conns {
                     shared.stats.record_conn_rejected();
                     // Refuse on a short-lived thread so one slow client
                     // cannot stall the acceptor.

@@ -211,8 +211,22 @@ fn drr_weights_shift_service_share_deterministically() {
     let policy = TenantPolicy {
         default_spec: QuotaSpec::unlimited(),
         tenants: vec![
-            ("heavy".to_string(), QuotaSpec { rate_per_s: 0.0, burst: 1.0, weight: 3 }),
-            ("lite".to_string(), QuotaSpec { rate_per_s: 0.0, burst: 1.0, weight: 1 }),
+            (
+                "heavy".to_string(),
+                QuotaSpec {
+                    rate_per_s: 0.0,
+                    burst: 1.0,
+                    weight: 3,
+                },
+            ),
+            (
+                "lite".to_string(),
+                QuotaSpec {
+                    rate_per_s: 0.0,
+                    burst: 1.0,
+                    weight: 1,
+                },
+            ),
         ],
     };
     let mut sched = Scheduler::new(256, policy, 0);
@@ -248,12 +262,12 @@ fn drr_weights_shift_service_share_deterministically() {
         let _ = sched3.admit(j, (i as u64) * 1_000);
     }
     loop {
-        let a = sched2.next_batch(4).map(|b| {
-            b.iter().map(|j| j.request.id.clone()).collect::<Vec<_>>()
-        });
-        let b = sched3.next_batch(4).map(|b| {
-            b.iter().map(|j| j.request.id.clone()).collect::<Vec<_>>()
-        });
+        let a = sched2
+            .next_batch(4)
+            .map(|b| b.iter().map(|j| j.request.id.clone()).collect::<Vec<_>>());
+        let b = sched3
+            .next_batch(4)
+            .map(|b| b.iter().map(|j| j.request.id.clone()).collect::<Vec<_>>());
         assert_eq!(a, b, "same inputs must give the same schedule");
         if a.is_none() {
             break;
