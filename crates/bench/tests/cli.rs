@@ -2,10 +2,11 @@
 //!
 //! Every binary in the workspace answers `--help` and `--version` with
 //! exit code 0 — `--help` prints the usage text to stderr, `--version`
-//! prints `<bin> <workspace version>` to stdout — and `gnna-report
-//! --campaign` fails with a structured error (not a panic or an empty
-//! section) on an empty or truncated sweep file. `gnna-sim` refuses a
-//! clock that is not finite and positive with a structured error.
+//! prints `<bin> <workspace version>` to stdout — and `gnna-report`
+//! fails with a structured error (not a panic, an abort or an empty
+//! section) on an empty, truncated or too deeply nested sweep file or
+//! metrics dump. `gnna-sim` refuses a clock that is not finite and
+//! positive with a structured error.
 
 use std::process::Command;
 
@@ -91,30 +92,50 @@ fn report_rejects_an_empty_campaign_file_with_a_structured_error() {
 }
 
 #[test]
-fn report_rejects_a_truncated_campaign_file_with_a_structured_error() {
-    let path = temp_path("truncated-campaign");
-    // A write cut off mid-record: the opening half of a JSON object.
-    std::fs::write(&path, "{\"cell\":0,\"model\":\"GCN\",\"ra").unwrap();
-    let out = run(
-        env!("CARGO_BIN_EXE_gnna-report"),
-        &["--campaign", path.to_str().unwrap()],
-    );
-    std::fs::remove_file(&path).ok();
-    assert!(
-        !out.status.success(),
-        "truncated campaign file was accepted"
-    );
-    let err = String::from_utf8_lossy(&out.stderr);
-    assert!(err.starts_with("error:"), "unstructured failure: {err}");
-    assert!(
-        err.contains("cannot parse campaign"),
-        "wrong message: {err}"
-    );
-    assert!(err.contains("line 1"), "no line context: {err}");
-    assert!(
-        out.stdout.is_empty(),
-        "truncated campaign still produced output"
-    );
+fn report_rejects_truncated_and_nested_files_with_a_structured_error() {
+    // 200 000 unclosed arrays must fail with a message, not overflow
+    // the JSON parser's stack (exit 134).
+    let nested = format!("{{\"a\":{}", "[".repeat(200_000));
+    let cases = [
+        // A write cut off mid-record: the opening half of a JSON object.
+        (
+            "--campaign",
+            "{\"cell\":0,\"model\":\"GCN\",\"ra".to_string(),
+            &["cannot parse campaign", "line 1"][..],
+        ),
+        (
+            "--campaign",
+            nested.clone(),
+            &["cannot parse campaign", "line 1", "nesting deeper than"],
+        ),
+        (
+            "--metrics",
+            nested,
+            &["cannot parse metrics", "nesting deeper than"],
+        ),
+    ];
+    for (i, (flag, text, needles)) in cases.into_iter().enumerate() {
+        let path = temp_path(&format!("bad-input-{i}"));
+        std::fs::write(&path, text).unwrap();
+        let out = run(
+            env!("CARGO_BIN_EXE_gnna-report"),
+            &[flag, path.to_str().unwrap()],
+        );
+        std::fs::remove_file(&path).ok();
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "case {i}: {err}");
+        assert!(
+            err.starts_with("error:"),
+            "case {i}: unstructured failure: {err}"
+        );
+        for needle in needles {
+            assert!(err.contains(needle), "case {i}: no {needle:?} in: {err}");
+        }
+        assert!(
+            out.stdout.is_empty(),
+            "case {i}: bad input still produced output"
+        );
+    }
 }
 
 #[test]

@@ -7,15 +7,10 @@
 //! $ curl -s localhost:7878/stats
 //! $ curl -s -X POST localhost:7878/shutdown
 //! ```
-//!
-//! `--load` switches to the perf-baseline harness: boot an in-process
-//! daemon, drive the fixed-seed load schedule batched and unbatched,
-//! verify functional bit-identity, and write
-//! `BENCH_serve_baseline.json`.
 
 use gnna_bench::Scale;
 use gnna_core::config::AcceleratorConfig;
-use gnna_serve::loadgen::{run_baseline, run_soak, BaselineOptions, SoakOptions};
+use gnna_serve::loadgen::{run_soak, SoakOptions};
 use gnna_serve::queue::parse_quota_flag;
 use gnna_serve::server::{serve, ServeConfig};
 use std::process::ExitCode;
@@ -55,14 +50,6 @@ usage: gnna-serve [options]
   --config cpu-iso-bw|gpu-iso-bw|gpu-iso-flops
                                  Table VI configuration (default gpu-iso-bw)
   --smoke                        scaled-down datasets (CI-speed)
-  --load                         run the fixed-seed perf baseline
-                                 instead of serving
-  --load-jobs N                  baseline jobs per phase (default 64)
-  --load-concurrency N           baseline client connections (default 64)
-  --min-speedup X                fail the baseline when batched/unbatched
-                                 throughput is below X (default 2.0)
-  --baseline-out PATH            baseline JSON path
-                                 (default BENCH_serve_baseline.json)
   --soak-secs N                  run the sustained mixed-tenant soak for
                                  N seconds instead of serving
   --soak-out PATH                soak JSON path
@@ -82,11 +69,6 @@ usage: gnna-serve [options]
 
 struct Args {
     cfg: ServeConfig,
-    load: bool,
-    load_jobs: usize,
-    load_concurrency: usize,
-    min_speedup: f64,
-    baseline_out: String,
     soak: Option<SoakOptions>,
     soak_out: String,
 }
@@ -97,11 +79,6 @@ fn parse_args() -> Result<Args, String> {
         scale: Scale::Paper,
         ..ServeConfig::default()
     };
-    let mut load = false;
-    let mut load_jobs = 64usize;
-    let mut load_concurrency = 64usize;
-    let mut min_speedup = 2.0f64;
-    let mut baseline_out = "BENCH_serve_baseline.json".to_string();
     let mut soak_secs: Option<u64> = None;
     let mut soak_opts = SoakOptions::default();
     let mut soak_out = "BENCH_serve_soak.json".to_string();
@@ -154,23 +131,6 @@ fn parse_args() -> Result<Args, String> {
             "--trace-out" => cfg.trace_out = Some(value("--trace-out")?),
             "--config" => cfg.accel = AcceleratorConfig::by_name(&value("--config")?)?,
             "--smoke" => cfg.scale = Scale::Smoke,
-            "--load" => load = true,
-            "--load-jobs" => {
-                load_jobs = value("--load-jobs")?
-                    .parse()
-                    .map_err(|e| format!("bad job count: {e}"))?;
-            }
-            "--load-concurrency" => {
-                load_concurrency = value("--load-concurrency")?
-                    .parse()
-                    .map_err(|e| format!("bad concurrency: {e}"))?;
-            }
-            "--min-speedup" => {
-                min_speedup = value("--min-speedup")?
-                    .parse()
-                    .map_err(|e| format!("bad speedup: {e}"))?;
-            }
-            "--baseline-out" => baseline_out = value("--baseline-out")?,
             "--tenant-quota" => {
                 let (tenant, spec) = parse_quota_flag(&value("--tenant-quota")?)?;
                 match tenant {
@@ -234,11 +194,6 @@ fn parse_args() -> Result<Args, String> {
     });
     Ok(Args {
         cfg,
-        load,
-        load_jobs,
-        load_concurrency,
-        min_speedup,
-        baseline_out,
         soak,
         soak_out,
     })
@@ -253,26 +208,6 @@ fn run(args: Args) -> Result<(), String> {
         let doc = run_soak(opts)?;
         std::fs::write(&args.soak_out, format!("{doc}\n")).map_err(|e| e.to_string())?;
         eprintln!("gnna-serve: wrote {}", args.soak_out);
-        println!("{doc}");
-        return Ok(());
-    }
-    if args.load {
-        let opts = BaselineOptions {
-            jobs: args.load_jobs,
-            concurrency: args.load_concurrency,
-            instances: args.cfg.instances,
-            max_batch: args.cfg.max_batch,
-            accel: args.cfg.accel.clone(),
-            scale: args.cfg.scale,
-            min_speedup: args.min_speedup,
-        };
-        eprintln!(
-            "gnna-serve: baseline load — {} jobs × {} clients on {} instances (max batch {})",
-            opts.jobs, opts.concurrency, opts.instances, opts.max_batch
-        );
-        let doc = run_baseline(&opts)?;
-        std::fs::write(&args.baseline_out, format!("{doc}\n")).map_err(|e| e.to_string())?;
-        eprintln!("gnna-serve: wrote {}", args.baseline_out);
         println!("{doc}");
         return Ok(());
     }

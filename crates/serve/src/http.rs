@@ -11,6 +11,14 @@ use std::io::{self, BufRead, Write};
 /// cannot make the daemon allocate unbounded memory.
 pub const MAX_BODY_BYTES: usize = 16 << 20;
 
+/// Cap on one request or header line (8 KiB): a peer that streams bytes
+/// without a newline never trips the read timeout, so the length is
+/// bounded instead.
+const MAX_LINE_BYTES: usize = 8 << 10;
+
+/// Cap on header lines per message, for the same reason.
+const MAX_HEADERS: usize = 100;
+
 /// One parsed HTTP request.
 #[derive(Debug, Clone)]
 pub struct Request {
@@ -42,15 +50,49 @@ impl Request {
     }
 }
 
+fn invalid(msg: &str) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidData, msg)
+}
+
+/// Reads one line of at most [`MAX_LINE_BYTES`] (terminator excluded).
 fn read_line(reader: &mut impl BufRead) -> io::Result<Option<String>> {
-    let mut line = String::new();
-    if reader.read_line(&mut line)? == 0 {
+    let mut line = Vec::new();
+    let limit = (MAX_LINE_BYTES + 2) as u64; // room for "\r\n"
+    if io::Read::take(&mut *reader, limit).read_until(b'\n', &mut line)? == 0 {
         return Ok(None); // clean EOF between requests
     }
-    while line.ends_with('\n') || line.ends_with('\r') {
+    while line.ends_with(b"\n") || line.ends_with(b"\r") {
         line.pop();
     }
-    Ok(Some(line))
+    if line.len() > MAX_LINE_BYTES {
+        return Err(invalid(&format!("line longer than {MAX_LINE_BYTES} bytes")));
+    }
+    String::from_utf8(line)
+        .map(Some)
+        .map_err(|_| invalid("line is not UTF-8"))
+}
+
+/// Reads header lines up to the blank line that ends them.
+fn read_headers(reader: &mut impl BufRead) -> io::Result<Vec<(String, String)>> {
+    let mut headers = Vec::new();
+    loop {
+        let Some(line) = read_line(reader)? else {
+            return Err(io::Error::new(
+                io::ErrorKind::UnexpectedEof,
+                "EOF inside headers",
+            ));
+        };
+        if line.is_empty() {
+            return Ok(headers);
+        }
+        if headers.len() == MAX_HEADERS {
+            return Err(invalid(&format!("more than {MAX_HEADERS} header lines")));
+        }
+        let Some((name, value)) = line.split_once(':') else {
+            return Err(invalid(&format!("bad header line: {line:?}")));
+        };
+        headers.push((name.trim().to_ascii_lowercase(), value.trim().to_string()));
+    }
 }
 
 /// Reads one request off a keep-alive connection. Returns `Ok(None)` on
@@ -73,29 +115,10 @@ pub fn read_request(reader: &mut impl BufRead) -> io::Result<Option<Request>> {
             ))
         }
     };
-    let mut headers = Vec::new();
-    loop {
-        let Some(line) = read_line(reader)? else {
-            return Err(io::Error::new(
-                io::ErrorKind::UnexpectedEof,
-                "EOF inside headers",
-            ));
-        };
-        if line.is_empty() {
-            break;
-        }
-        let Some((name, value)) = line.split_once(':') else {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("bad header line: {line:?}"),
-            ));
-        };
-        headers.push((name.trim().to_ascii_lowercase(), value.trim().to_string()));
-    }
     let mut req = Request {
         method,
         path,
-        headers,
+        headers: read_headers(reader)?,
         body: String::new(),
     };
     if let Some(len) = req.header("content-length") {
@@ -204,21 +227,7 @@ pub fn read_response(reader: &mut impl BufRead) -> io::Result<Option<Response>> 
             ))
         }
     };
-    let mut headers = Vec::new();
-    loop {
-        let Some(line) = read_line(reader)? else {
-            return Err(io::Error::new(
-                io::ErrorKind::UnexpectedEof,
-                "EOF inside headers",
-            ));
-        };
-        if line.is_empty() {
-            break;
-        }
-        if let Some((name, value)) = line.split_once(':') {
-            headers.push((name.trim().to_ascii_lowercase(), value.trim().to_string()));
-        }
-    }
+    let headers = read_headers(reader)?;
     let len: usize = headers
         .iter()
         .find(|(n, _)| n == "content-length")
@@ -282,5 +291,37 @@ mod tests {
     fn rejects_malformed_request_line() {
         let raw = "garbage\r\n\r\n";
         assert!(read_request(&mut BufReader::new(raw.as_bytes())).is_err());
+    }
+
+    #[test]
+    fn rejects_unbounded_lines_and_header_floods() {
+        use std::io::Read;
+        let kind = |raw: &[u8]| read_request(&mut BufReader::new(raw)).unwrap_err().kind();
+        // A 1 MiB line with no newline stops at the cap, long before EOF.
+        let mut endless = BufReader::new(io::repeat(b'A').take(1 << 20));
+        let err = read_request(&mut endless).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(
+            endless.get_ref().limit() > (1 << 19),
+            "read the line to EOF"
+        );
+        let mut long_header = b"GET / HTTP/1.1\r\nX: ".to_vec();
+        long_header.extend(vec![b'A'; 1 << 20]);
+        assert_eq!(kind(&long_header), io::ErrorKind::InvalidData);
+        let flood = format!(
+            "GET / HTTP/1.1\r\n{}\r\n",
+            "X: y\r\n".repeat(MAX_HEADERS + 1)
+        );
+        assert_eq!(kind(flood.as_bytes()), io::ErrorKind::InvalidData);
+        // The longest allowed line and the most headers still parse.
+        let path = "/".repeat(MAX_LINE_BYTES - "GET  HTTP/1.1".len());
+        let edge = format!(
+            "GET {path} HTTP/1.1\r\n{}\r\n",
+            "X: y\r\n".repeat(MAX_HEADERS)
+        );
+        let req = read_request(&mut BufReader::new(edge.as_bytes()))
+            .unwrap()
+            .unwrap();
+        assert_eq!(req.headers.len(), MAX_HEADERS);
     }
 }

@@ -92,6 +92,12 @@ pub struct JobRequest {
     pub deadline_ms: Option<u64>,
 }
 
+/// Widest inline feature row and output width. The model's weight
+/// matrices are sized from both, so an unchecked width lets one request
+/// ask for terabytes and abort the daemon on the failed allocation; the
+/// widest benchmark dataset (Citeseer) has 3703 features.
+const MAX_INLINE_WIDTH: usize = 4096;
+
 fn parse_inline_graph(v: &JsonValue) -> Result<InlineGraph, String> {
     let num_vertices = v
         .get("num_vertices")
@@ -155,12 +161,17 @@ fn parse_inline_graph(v: &JsonValue) -> Result<InlineGraph, String> {
     if width == Some(0) {
         return Err("graph.features rows must be non-empty".into());
     }
+    if width.is_some_and(|w| w > MAX_INLINE_WIDTH) {
+        return Err(format!(
+            "graph.features rows are wider than {MAX_INLINE_WIDTH}"
+        ));
+    }
     let out_features = v
         .get("out_features")
         .and_then(JsonValue::as_u64)
         .ok_or("graph.out_features must be a number")? as usize;
-    if out_features == 0 {
-        return Err("graph.out_features must be positive".into());
+    if !(1..=MAX_INLINE_WIDTH).contains(&out_features) {
+        return Err(format!("graph.out_features must be 1..={MAX_INLINE_WIDTH}"));
     }
     Ok(InlineGraph {
         num_vertices,
@@ -354,6 +365,17 @@ mod tests {
             r#"{"model":"gcn","graph":{"num_vertices":2,"edges":[[0,5]],"features":[[1],[1]],"out_features":1}}"#
         )
         .is_err());
+        // Widths that would size the weights past any memory.
+        let graph = |row: &str, out: &str| {
+            format!(
+                r#"{{"model":"gat","graph":{{"num_vertices":1,"edges":[],"features":[{row}],"out_features":{out}}}}}"#
+            )
+        };
+        let wide = format!("[{}]", vec!["0"; MAX_INLINE_WIDTH + 1].join(","));
+        let widest = format!("[{}]", vec!["0"; MAX_INLINE_WIDTH].join(","));
+        assert!(parse_job(&graph(&wide, "1")).is_err());
+        assert!(parse_job(&graph("[1]", "1000000000000")).is_err());
+        assert!(parse_job(&graph(&widest, &MAX_INLINE_WIDTH.to_string())).is_ok());
     }
 
     #[test]

@@ -75,9 +75,19 @@ fn version_exits_zero_and_prints_the_workspace_version() {
 
 #[test]
 fn unknown_options_exit_nonzero_with_usage() {
-    let out = run(&["--no-such-flag"]);
-    assert!(!out.status.success(), "gnna-serve accepted an unknown flag");
-    let err = String::from_utf8_lossy(&out.stderr);
-    assert!(err.contains("unknown option --no-such-flag"), "{err}");
-    assert!(err.contains("usage: gnna-serve"), "{err}");
+    // No load-harness mode: the batching gate is a test in `tests/e2e.rs`.
+    for flag in [
+        "--no-such-flag",
+        "--load",
+        "--load-jobs",
+        "--load-concurrency",
+        "--min-speedup",
+        "--baseline-out",
+    ] {
+        let out = run(&[flag]);
+        assert!(!out.status.success(), "gnna-serve accepted {flag}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains(&format!("unknown option {flag}")), "{err}");
+        assert!(err.contains("usage: gnna-serve"), "{err}");
+    }
 }

@@ -86,10 +86,21 @@ impl JsonValue {
     }
 }
 
-/// Parse a JSON document. Returns a descriptive error on malformed input.
+/// Deepest array/object nesting [`parse`] accepts. The parser recurses
+/// once per level, so an unbounded depth lets a short document of `[`s
+/// overflow the stack; every document this workspace writes nests fewer
+/// than ten levels.
+const MAX_DEPTH: usize = 128;
+
+/// Parse a JSON document. Returns a descriptive error on malformed input,
+/// including nesting deeper than [`MAX_DEPTH`] levels.
 pub fn parse(input: &str) -> Result<JsonValue, String> {
     let bytes = input.as_bytes();
-    let mut p = Parser { bytes, pos: 0 };
+    let mut p = Parser {
+        bytes,
+        pos: 0,
+        depth: 0,
+    };
     p.skip_ws();
     let v = p.value()?;
     p.skip_ws();
@@ -102,6 +113,8 @@ pub fn parse(input: &str) -> Result<JsonValue, String> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open at `pos`.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -148,8 +161,22 @@ impl<'a> Parser<'a> {
     fn value(&mut self) -> Result<JsonValue, String> {
         self.skip_ws();
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(open @ (b'{' | b'[')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(format!(
+                        "nesting deeper than {MAX_DEPTH} levels at byte {}",
+                        self.pos
+                    ));
+                }
+                self.depth += 1;
+                let v = if open == b'{' {
+                    self.object()
+                } else {
+                    self.array()
+                };
+                self.depth -= 1;
+                v
+            }
             Some(b'"') => Ok(JsonValue::String(self.string()?)),
             Some(b't') => self.literal("true", JsonValue::Bool(true)),
             Some(b'f') => self.literal("false", JsonValue::Bool(false)),
@@ -286,6 +313,17 @@ mod tests {
         assert!(parse("{\"a\":}").is_err());
         assert!(parse("[1,2").is_err());
         assert!(parse("{} trailing").is_err());
+    }
+
+    #[test]
+    fn rejects_nesting_past_the_limit() {
+        let nested = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(parse(&nested(MAX_DEPTH)).is_ok());
+        let err = parse(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.contains("nesting deeper than 128 levels"), "{err}");
+        // Objects count too, and the limit holds far past the stack's reach.
+        let deep = format!("{{\"a\":{}", "[".repeat(200_000));
+        assert!(parse(&deep).unwrap_err().contains("nesting deeper"));
     }
 
     #[test]
