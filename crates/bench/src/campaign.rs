@@ -232,7 +232,7 @@ impl CampaignSpec {
             .with_crc_domain(cell.crc);
         match cell.mode {
             Mode::Protected => {}
-            Mode::Passthrough => plan = plan.with_passthrough(true),
+            Mode::Passthrough => plan = plan.with_recovery(RecoveryMode::Passthrough),
             Mode::Degraded => {
                 plan = plan.with_dead_tile(1);
                 let topo = &self.config.topology;
@@ -549,15 +549,15 @@ mod tests {
         let cells = s.cells();
         let protected = s.plan_for(&cells[2]);
         assert_eq!(protected.mem_rate, 0.01);
-        assert!(!protected.passthrough);
+        assert_eq!(protected.recovery, RecoveryMode::Retry);
         let pass = s.plan_for(&cells[6]);
-        assert!(pass.passthrough);
+        assert_eq!(pass.recovery, RecoveryMode::Passthrough);
         let mut deg_spec = spec();
         deg_spec.modes = vec![Mode::Degraded];
         let deg = deg_spec.plan_for(&deg_spec.cells()[0]);
         assert_eq!(deg.dead_tiles, vec![1]);
         assert!(!deg.dead_links.is_empty());
-        assert!(!deg.passthrough);
+        assert_eq!(deg.recovery, RecoveryMode::Retry);
     }
 
     #[test]

@@ -7,7 +7,7 @@ use gnna_bench::report::{parse_trace_json, BottleneckReport, DiffReport, Metrics
 use gnna_bench::{build_case, simulate_traced_opts, Scale, TraceOptions};
 use gnna_core::config::AcceleratorConfig;
 use gnna_core::energy::EnergyModel;
-use gnna_faults::FaultPlan;
+use gnna_faults::{FaultPlan, RecoveryMode};
 use gnna_models::ModelKind;
 use gnna_telemetry::TraceLevel;
 
@@ -254,7 +254,11 @@ fn passthrough_silent_corruption_closes_the_partition() {
     // checks injected == corrected + retried + unrecoverable + sdc.
     let case = build_case(ModelKind::Gcn, "Cora", Scale::Smoke).unwrap();
     let opts = TraceOptions {
-        fault_plan: Some(FaultPlan::new(42).with_rate(0.01).with_passthrough(true)),
+        fault_plan: Some(
+            FaultPlan::new(42)
+                .with_rate(0.01)
+                .with_recovery(RecoveryMode::Passthrough),
+        ),
         ..TraceOptions::default()
     };
     let run = simulate_traced_opts(&case, &AcceleratorConfig::cpu_iso_bandwidth(), &opts).unwrap();

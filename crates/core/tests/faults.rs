@@ -9,7 +9,7 @@ use gnna_core::config::AcceleratorConfig;
 use gnna_core::layers::compile_gcn;
 use gnna_core::system::{System, TraceOptions};
 use gnna_core::CoreError;
-use gnna_faults::{FaultPlan, MeshDir};
+use gnna_faults::{FaultPlan, MeshDir, RecoveryMode};
 use gnna_graph::datasets;
 use gnna_models::{Gcn, GcnNorm};
 use gnna_telemetry::MetricsRegistry;
@@ -208,7 +208,7 @@ fn passthrough_high_rate_reports_silent_corruption() {
         .with_mem_rate(0.05)
         .with_double_bit_fraction(0.5)
         .with_noc_rate(0.01)
-        .with_passthrough(true);
+        .with_recovery(RecoveryMode::Passthrough);
     let mut sys = faulty_system(&cfg, &plan).unwrap();
     // Pass-through never returns CoreError::Fault: corrupted words are
     // delivered instead of retried to exhaustion.

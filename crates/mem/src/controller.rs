@@ -1,6 +1,6 @@
 use crate::MemImage;
 use gnna_faults::{
-    ecc, EccDomain, FaultCounters, FaultPlan, FaultSite, SiteInjector, StuckLineModel,
+    ecc, EccDomain, FaultCounters, FaultPlan, FaultSite, RecoveryMode, SiteInjector, StuckLineModel,
 };
 use gnna_telemetry::{CostClass, ModuleProbe};
 use std::collections::VecDeque;
@@ -245,7 +245,7 @@ impl MemFaultState {
             } else {
                 None
             },
-            passthrough: plan.passthrough,
+            passthrough: plan.recovery == RecoveryMode::Passthrough,
             counters: FaultCounters::default(),
             ecc_domain: plan.ecc_domain,
             static_boundary: 0,
@@ -1019,7 +1019,7 @@ mod tests {
         let plan = FaultPlan::new(3)
             .with_mem_rate(1.0)
             .with_double_bit_fraction(1.0)
-            .with_passthrough(true);
+            .with_recovery(RecoveryMode::Passthrough);
         let mut ctrl = MemoryController::new(MemConfig::default());
         ctrl.attach_faults(MemFaultState::from_plan(&plan, 0));
         ctrl.try_push(MemRequest::read(addr, 8, 0), 0).unwrap();
@@ -1085,7 +1085,7 @@ mod tests {
         let addr = img.alloc_u32(&words);
         let plan = FaultPlan::new(21)
             .with_mem_stuck_rate(1.0)
-            .with_passthrough(true);
+            .with_recovery(RecoveryMode::Passthrough);
         let mut ctrl = MemoryController::new(MemConfig::default());
         ctrl.attach_faults(MemFaultState::from_plan(&plan, 0));
         ctrl.try_push(MemRequest::read(addr, 64, 0), 0).unwrap();

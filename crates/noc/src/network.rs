@@ -1,7 +1,9 @@
 use crate::arena::{BufFlit, FlitRef, LinkFlit, PacketSlab};
 use crate::router::{opposite, xy_route, EAST, LOCAL_BASE, NORTH, SOUTH, WEST};
 use crate::{Address, Flit, NetworkStats, NocConfig, Packet, PacketKind};
-use gnna_faults::{crc, CrcDomain, DeadLink, FaultCounters, FaultPlan, FaultSite, SiteInjector};
+use gnna_faults::{
+    crc, CrcDomain, DeadLink, FaultCounters, FaultPlan, FaultSite, RecoveryMode, SiteInjector,
+};
 use gnna_telemetry::{HistogramSummary, MetricsRegistry, ModuleProbe};
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
@@ -121,7 +123,7 @@ impl NocFaultState {
             counters: FaultCounters::default(),
             retries: Vec::new(),
             failure: None,
-            passthrough: plan.passthrough,
+            passthrough: plan.recovery == RecoveryMode::Passthrough,
             crc_domain: plan.crc_domain,
             dead: plan.dead_links.clone(),
             poison: HashMap::new(),
@@ -1821,7 +1823,9 @@ mod tests {
         // Pure corruption (no drops) in pass-through: timing must be
         // bit-identical to the fault-free mesh — the corruption rides
         // along as poison records instead of retransmit traffic.
-        let plan = FaultPlan::new(17).with_noc_rate(0.3).with_passthrough(true);
+        let plan = FaultPlan::new(17)
+            .with_noc_rate(0.3)
+            .with_recovery(RecoveryMode::Passthrough);
         let plan = FaultPlan {
             noc_drop_fraction: 0.0,
             ..plan
@@ -1859,7 +1863,9 @@ mod tests {
     fn passthrough_drops_still_retransmit() {
         // A dropped flit cannot pass through: drops retransmit exactly
         // as in protected mode, contributing zero sdc.
-        let plan = FaultPlan::new(23).with_noc_rate(0.2).with_passthrough(true);
+        let plan = FaultPlan::new(23)
+            .with_noc_rate(0.2)
+            .with_recovery(RecoveryMode::Passthrough);
         let plan = FaultPlan {
             noc_drop_fraction: 1.0,
             ..plan
