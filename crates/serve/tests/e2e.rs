@@ -11,18 +11,63 @@ use gnna_serve::protocol::{push_rows, ExecMode};
 use gnna_serve::queue::{QuotaSpec, TenantPolicy};
 use gnna_serve::server::{serve, ServeConfig, ServerHandle};
 use gnna_telemetry::json::{self, JsonValue};
+use std::any::Any;
 use std::io::{self, BufReader, Read};
 use std::net::{SocketAddr, TcpStream};
+use std::ops::Deref;
+use std::sync::{PoisonError, RwLock};
 use std::time::{Duration, Instant};
 
-fn boot(mutate: impl FnOnce(&mut ServeConfig)) -> ServerHandle {
+/// The file's CPU share. A test that asserts on wall-clock time holds it
+/// exclusively; every other test holds it shared while its daemon lives,
+/// so the timing tests never race the rest of the file for the cores.
+static CPU: RwLock<()> = RwLock::new(());
+
+/// A daemon booted for one test, holding the test's [`CPU`] guard until
+/// it is joined.
+struct Daemon {
+    handle: ServerHandle,
+    _cpu: Box<dyn Any>,
+}
+
+impl Deref for Daemon {
+    type Target = ServerHandle;
+
+    fn deref(&self) -> &ServerHandle {
+        &self.handle
+    }
+}
+
+impl Daemon {
+    fn join(self) {
+        self.handle.join();
+    }
+}
+
+fn boot_with(cpu: Box<dyn Any>, mutate: impl FnOnce(&mut ServeConfig)) -> Daemon {
     let mut cfg = ServeConfig {
         instances: 2,
         threads: 2,
         ..ServeConfig::default()
     };
     mutate(&mut cfg);
-    serve(cfg).expect("daemon boots")
+    Daemon {
+        handle: serve(cfg).expect("daemon boots"),
+        _cpu: cpu,
+    }
+}
+
+/// Boots a daemon sharing the CPU with the file's other tests.
+fn boot(mutate: impl FnOnce(&mut ServeConfig)) -> Daemon {
+    let cpu = CPU.read().unwrap_or_else(PoisonError::into_inner);
+    boot_with(Box::new(cpu), mutate)
+}
+
+/// Boots a daemon for a wall-clock test: no other test in the file runs
+/// until it is joined.
+fn boot_alone(mutate: impl FnOnce(&mut ServeConfig)) -> Daemon {
+    let cpu = CPU.write().unwrap_or_else(PoisonError::into_inner);
+    boot_with(Box::new(cpu), mutate)
 }
 
 fn post(addr: SocketAddr, path: &str, body: &str) -> (u16, String) {
@@ -118,7 +163,7 @@ fn cycle_mode_returns_rows_telemetry_and_accuracy() {
 
 #[test]
 fn cycle_response_stage_timings_decompose_the_latency() {
-    let h = boot(|_| {});
+    let h = boot_alone(|_| {});
     let t0 = Instant::now();
     let (status, body) = post(
         h.addr(),
@@ -674,7 +719,7 @@ fn degrade_watermark_answers_cycle_jobs_functionally_flagged() {
 
 #[test]
 fn max_conns_refuses_excess_connections_with_503() {
-    let h = boot(|cfg| cfg.max_conns = 2);
+    let h = boot_alone(|cfg| cfg.max_conns = 2);
     // Two held-open connections occupy the limit.
     let hold1 = TcpStream::connect(h.addr()).unwrap();
     let hold2 = TcpStream::connect(h.addr()).unwrap();
@@ -711,14 +756,20 @@ fn max_conns_refuses_excess_connections_with_503() {
     }
     assert!(ok, "daemon did not recover after connections freed");
     let stats_ok = {
-        // The stats fetch itself needs a free slot; retry briefly.
+        // The stats fetch itself needs a free slot: the handlers of the
+        // connections just closed may not have exited yet, and a refused
+        // fetch reads a 503 body. Retry briefly until a 200 arrives.
         let mut v = None;
         for _ in 0..50 {
-            if let Ok(s) = fetch_stats(h.addr()) {
-                v = Some(s);
-                break;
+            let mut stream = TcpStream::connect(h.addr()).unwrap();
+            let mut reader = BufReader::new(stream.try_clone().unwrap());
+            match roundtrip(&mut stream, &mut reader, "GET", "/stats", "") {
+                Ok(resp) if resp.status == 200 => {
+                    v = Some(json::parse(&resp.body).unwrap());
+                    break;
+                }
+                _ => std::thread::sleep(Duration::from_millis(20)),
             }
-            std::thread::sleep(Duration::from_millis(20));
         }
         v.expect("stats unreachable after recovery")
     };
