@@ -19,6 +19,12 @@
 //! registry carries every `SimReport` counter — the agreement test below
 //! proves it — so there is nowhere for a behaviour change to hide.
 //!
+//! The same 24 cells plus one rollback run are also run at
+//! `TraceLevel::Event` and pinned in `tests/golden/sim_metrics_event.txt`.
+//! Only an event-level harvest carries the energy ledger
+//! (`*.energy.*_pj`), the per-link busy counters and the NoC latency/hop
+//! histograms, so this second file is what pins those keys.
+//!
 //! Degraded mode notes: on GPU iso-BW the permanent fault is a dead mesh
 //! link at (0,0)→East, exercising the BFS detour tables. The CPU iso-BW
 //! mesh is 1×2 — its only link cannot die without disconnecting the mesh
@@ -36,20 +42,27 @@
 //! explains it.
 
 use gnna_core::config::AcceleratorConfig;
+use gnna_core::energy::EnergyModel;
 use gnna_core::layers::{compile_gat, compile_gcn, compile_mpnn, compile_pgnn};
 use gnna_core::stats::SimReport;
 use gnna_core::system::{System, TraceOptions};
 use gnna_faults::{FaultCounters, FaultPlan, MeshDir, RecoveryMode};
 use gnna_graph::datasets;
 use gnna_models::{Gat, Gcn, GcnNorm, Mpnn, Pgnn};
-use gnna_telemetry::{Metric, MetricsRegistry};
+use gnna_telemetry::energy::CostClass;
+use gnna_telemetry::{Metric, MetricsRegistry, TraceLevel};
 
 const MODELS: [&str; 4] = ["gcn", "gat", "mpnn", "pgnn"];
 const CONFIGS: [&str; 2] = ["cpu-iso", "gpu-iso"];
 const MODES: [&str; 3] = ["clean", "transient", "degraded"];
 
-/// Committed digests, one `name digest16` line per corpus cell.
+/// Committed digests of the untraced corpus, one `name digest16` line
+/// per corpus cell.
 const GOLDEN: &str = include_str!("golden/sim_metrics.txt");
+
+/// Committed digests of the event-level corpus (the 24 cells plus the
+/// rollback run).
+const GOLDEN_EVENT: &str = include_str!("golden/sim_metrics_event.txt");
 
 fn config_for(name: &str) -> AcceleratorConfig {
     match name {
@@ -59,14 +72,19 @@ fn config_for(name: &str) -> AcceleratorConfig {
     }
 }
 
-/// Builds the cell's system with `fault_plan` applied: small scaled
-/// datasets (the same shapes the end-to-end functional tests use) so the
-/// whole 24-cell corpus runs in seconds while still exercising every
-/// module and both mesh layouts.
-fn system_for(model: &str, cfg: &AcceleratorConfig, fault_plan: Option<FaultPlan>) -> System {
+/// Builds the cell's system with `fault_plan` applied, traced at
+/// `level`: small scaled datasets (the same shapes the end-to-end
+/// functional tests use) so the whole 24-cell corpus runs in seconds
+/// while still exercising every module and both mesh layouts.
+fn system_for(
+    model: &str,
+    cfg: &AcceleratorConfig,
+    fault_plan: Option<FaultPlan>,
+    level: TraceLevel,
+) -> System {
     let opts = TraceOptions {
         fault_plan,
-        ..TraceOptions::default()
+        ..TraceOptions::at_level(level)
     };
     match model {
         "gcn" => {
@@ -144,9 +162,18 @@ struct Cell {
     digest: u64,
 }
 
-/// Runs one corpus cell to completion.
+/// Runs one corpus cell to completion, untraced.
 fn run_cell(model: &str, config: &str, mode: &str) -> Cell {
-    let mut sys = system_for(model, &config_for(config), plan_for(mode, config));
+    run_traced(model, config, mode, TraceLevel::Off)
+}
+
+/// Runs one corpus cell to completion at `level`.
+fn run_traced(model: &str, config: &str, mode: &str, level: TraceLevel) -> Cell {
+    let plan = match mode {
+        "rollback" => Some(rollback_plan()),
+        _ => plan_for(mode, config),
+    };
+    let mut sys = system_for(model, &config_for(config), plan, level);
     let report = sys.run().unwrap();
     let mut reg = MetricsRegistry::new();
     sys.harvest_metrics(&mut reg);
@@ -162,21 +189,45 @@ fn run_cell(model: &str, config: &str, mode: &str) -> Cell {
     }
 }
 
-/// Every cell of the corpus, in golden-file order.
-fn corpus() -> Vec<Cell> {
+/// Every cell of the corpus traced at `level`, in golden-file order.
+fn corpus_at(level: TraceLevel) -> Vec<Cell> {
     let mut cells = Vec::new();
     for model in MODELS {
         for config in CONFIGS {
             for mode in MODES {
-                cells.push(run_cell(model, config, mode));
+                cells.push(run_traced(model, config, mode, level));
             }
         }
     }
     cells
 }
 
-fn parse_golden() -> Vec<(String, u64)> {
-    GOLDEN
+/// Every cell of the untraced corpus, in golden-file order.
+fn corpus() -> Vec<Cell> {
+    corpus_at(TraceLevel::Off)
+}
+
+/// A GCN rollback plan whose double-bit DRAM faults exhaust a one-re-read
+/// budget often enough to take checkpoints and roll back. No corpus cell
+/// reaches the `system.recovery.*` family or the checkpoint energy site.
+fn rollback_plan() -> FaultPlan {
+    FaultPlan::new(3)
+        .with_mem_rate(0.05)
+        .with_double_bit_fraction(0.5)
+        .with_mem_retry_budget(1)
+        .with_recovery(RecoveryMode::Rollback)
+        .with_rollback_budget(64)
+}
+
+/// The rollback run traced at `level`.
+fn rollback_cell(level: TraceLevel) -> Cell {
+    let cell = run_traced("gcn", "gpu-iso", "rollback", level);
+    assert!(cell.report.recovery.any(), "rollback plan recorded nothing");
+    cell
+}
+
+fn parse_golden(golden: &str) -> Vec<(String, u64)> {
+    golden
         .lines()
         .map(str::trim)
         .filter(|l| !l.is_empty() && !l.starts_with('#'))
@@ -188,43 +239,66 @@ fn parse_golden() -> Vec<(String, u64)> {
         .collect()
 }
 
-/// The full 24-cell matrix: every digest must match the committed file.
-/// On mismatch the failure lists every diverging cell (not just the
-/// first) so an optimisation that perturbs one fault mode or one model
-/// is visible at a glance. `GNNA_BLESS_GOLDENS=1` rewrites the file.
-#[test]
-fn sim_metrics_digests_match_golden_corpus() {
-    let computed: Vec<(String, u64)> = corpus().into_iter().map(|c| (c.name, c.digest)).collect();
+/// Compares `computed` with the committed digests `golden`, or rewrites
+/// `file` (under `tests/golden/`) when `GNNA_BLESS_GOLDENS=1`. On
+/// mismatch the failure lists every diverging cell (not just the first)
+/// so an optimisation that perturbs one fault mode or one model is
+/// visible at a glance.
+fn check_golden(golden: &str, file: &str, what: &str, computed: &[(String, u64)]) {
     if std::env::var("GNNA_BLESS_GOLDENS").is_ok_and(|v| v == "1") {
         let mut lines = vec![
             "# Simulator bit-identity digests: FNV-1a-64 over the harvested".to_string(),
-            "# metrics CSV + output-matrix bits, one line per corpus cell.".to_string(),
+            format!("# metrics CSV{what} + output-matrix bits, one line per corpus cell."),
             "# Regenerate with: GNNA_BLESS_GOLDENS=1 cargo test --test goldens".to_string(),
         ];
         lines.extend(computed.iter().map(|(name, d)| format!("{name} {d:016x}")));
-        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/sim_metrics.txt");
+        let path = format!("{}/tests/golden/{file}", env!("CARGO_MANIFEST_DIR"));
         std::fs::write(path, lines.join("\n") + "\n").unwrap();
         return;
     }
-    let golden = parse_golden();
+    let golden = parse_golden(golden);
     assert_eq!(
         golden.len(),
         computed.len(),
-        "golden file covers {} cells, corpus has {} — re-bless",
+        "{file} covers {} cells, corpus has {} — re-bless",
         golden.len(),
         computed.len()
     );
     let mismatches: Vec<String> = golden
         .iter()
-        .zip(&computed)
+        .zip(computed)
         .filter(|((gn, gd), (cn, cd))| gn != cn || gd != cd)
         .map(|((gn, gd), (cn, cd))| format!("  {cn}: got {cd:016x}, golden {gn} {gd:016x}"))
         .collect();
     assert!(
         mismatches.is_empty(),
-        "metrics digests diverged from the golden corpus \
+        "metrics digests diverged from {file} \
          (GNNA_BLESS_GOLDENS=1 re-blesses after an intentional change):\n{}",
         mismatches.join("\n")
+    );
+}
+
+fn digests(cells: Vec<Cell>) -> Vec<(String, u64)> {
+    cells.into_iter().map(|c| (c.name, c.digest)).collect()
+}
+
+/// The full 24-cell matrix: every digest must match the committed file.
+#[test]
+fn sim_metrics_digests_match_golden_corpus() {
+    check_golden(GOLDEN, "sim_metrics.txt", "", &digests(corpus()));
+}
+
+/// The same matrix plus the rollback run at event level, where the
+/// harvest adds the energy ledger, per-link counters and histograms.
+#[test]
+fn event_level_digests_match_golden_corpus() {
+    let mut cells = corpus_at(TraceLevel::Event);
+    cells.push(rollback_cell(TraceLevel::Event));
+    check_golden(
+        GOLDEN_EVENT,
+        "sim_metrics_event.txt",
+        " (event-level trace)",
+        &digests(cells),
     );
 }
 
@@ -353,22 +427,53 @@ fn report_fields_agree_with_harvested_metrics() {
     }
 }
 
-/// Rollback runs fill the `system.recovery.*` family, which no corpus
-/// cell reaches; the same agreement must hold there.
+/// Rollback runs fill the `system.recovery.*` family and the checkpoint
+/// energy site, which no corpus cell reaches; the same agreement must
+/// hold there. At event level this is also the energy oracle: the
+/// per-site `*.energy.*_pj` counters, the per-layer
+/// `system.energy.layer{k}_pj` counters and the report's class counts ×
+/// rates each come to both the registry total and
+/// `EnergyModel::total_pj` of the report.
 #[test]
 fn rollback_report_agrees_with_harvested_metrics() {
-    let plan = FaultPlan::new(3)
-        .with_mem_rate(0.05)
-        .with_double_bit_fraction(0.5)
-        .with_mem_retry_budget(1)
-        .with_recovery(RecoveryMode::Rollback)
-        .with_rollback_budget(64);
-    let mut sys = system_for("gcn", &config_for("gpu-iso"), Some(plan));
-    let report = sys.run().unwrap();
-    assert!(report.recovery.any(), "rollback plan recorded nothing");
-    let mut reg = MetricsRegistry::new();
-    sys.harvest_metrics(&mut reg);
-    assert_report_matches_registry("gcn:gpu-iso:rollback", &report, &reg);
+    let Cell {
+        name, report, reg, ..
+    } = rollback_cell(TraceLevel::Event);
+    assert_report_matches_registry(&name, &report, &reg);
+    let model = EnergyModel::default();
+    let total = counter(&reg, "system.energy.total_pj");
+    assert_eq!(total, model.total_pj(&report), "registry vs report total");
+    assert!(
+        reg.get_counter("system.energy.checkpoint_pj")
+            .is_some_and(|pj| pj > 0),
+        "rollback run charged no checkpoint energy"
+    );
+    let sum = |keep: &dyn Fn(&str) -> bool| -> u64 {
+        reg.iter()
+            .filter(|(name, _)| keep(name))
+            .map(|(name, m)| match m {
+                Metric::Counter(v) => *v,
+                other => panic!("{name} is {other:?}, not a counter"),
+            })
+            .sum()
+    };
+    let is_layer = |n: &str| n.starts_with("system.energy.layer");
+    let sites = sum(&|n| {
+        n.contains(".energy.")
+            && n.ends_with("_pj")
+            && !is_layer(n)
+            && n != "system.energy.total_pj"
+    });
+    assert_eq!(sites, total, "site counters vs total");
+    let layers = sum(&is_layer);
+    assert_eq!(layers, total, "layer counters vs total");
+    let rates = model.rates();
+    let counts = EnergyModel::class_counts(&report);
+    let fj: u64 = CostClass::ALL
+        .iter()
+        .map(|&c| rates.charge_fj(c, counts[c.index()]))
+        .sum();
+    assert_eq!(fj / 1000, total, "class counts x rates vs total");
 }
 
 /// Replaying a faulted cell twice in-process produces the same digest:
