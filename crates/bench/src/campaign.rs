@@ -31,7 +31,7 @@ use gnna_core::stats::RecoverySummary;
 use gnna_executor::{Executor, ExecutorError};
 use gnna_faults::{CrcDomain, EccDomain, FaultPlan, MeshDir, PhysicalRates, RecoveryMode};
 use gnna_models::ModelKind;
-use gnna_telemetry::energy::CostClass;
+use gnna_telemetry::energy::FJ_PER_PJ;
 use gnna_telemetry::json;
 use std::fmt;
 
@@ -287,15 +287,15 @@ impl Cell {
 }
 
 /// Energy of the checkpoint/rollback traffic in integer picojoules,
-/// priced with the default [`EnergyModel`] — the same figure the live
-/// system charges into its `system.energy.checkpoint_pj` ledger site.
+/// priced with the default [`EnergyModel`] from the charges
+/// [`RecoverySummary::energy`] declares — the ones the live system
+/// charges into its `system.energy.checkpoint_pj` ledger site.
 pub fn checkpoint_pj(rec: &RecoverySummary) -> u64 {
     let rates = EnergyModel::default().rates();
-    let fj = rates
-        .charge_fj(CostClass::SramWord, rec.checkpoint_sram_words)
-        .saturating_add(rates.charge_fj(CostClass::NocByteHop, rec.checkpoint_noc_byte_hops))
-        .saturating_add(rates.charge_fj(CostClass::DramByte, rec.checkpoint_dram_bytes));
-    fj / 1000
+    let fj = rec.energy().iter().fold(0u64, |a, &(_, c, n)| {
+        a.saturating_add(rates.charge_fj(c, n))
+    });
+    fj / FJ_PER_PJ
 }
 
 fn push_kv_str(out: &mut String, key: &str, v: &str) {

@@ -113,27 +113,42 @@ fn csv_metrics_dump_parses_identically() {
 fn energy_section_reconciles_from_files() {
     // The file-based energy view must carry the exact conservation
     // invariant: module aggregates, per-layer counters, and the total
-    // all agree with the in-memory `EnergyModel` figure, in integer pJ.
-    let run = traced_smoke_run();
-    let snap = MetricsSnapshot::parse(&run.metrics.to_json_string()).unwrap();
-    let report = BottleneckReport::build(&snap, None);
-    let e = report
-        .energy
-        .as_ref()
-        .expect("event run has energy section");
+    // all agree with the in-memory `EnergyModel` figure, in integer pJ —
+    // also under rollback, where checkpoint traffic has its own row.
+    let case = build_case(ModelKind::Gcn, "Cora", Scale::Smoke).unwrap();
+    let rollback = TraceOptions {
+        fault_plan: Some(
+            FaultPlan::new(1)
+                .with_rate(0.001)
+                .with_recovery(RecoveryMode::Rollback),
+        ),
+        ..TraceOptions::at_level(TraceLevel::Event)
+    };
+    let rollback =
+        simulate_traced_opts(&case, &AcceleratorConfig::cpu_iso_bandwidth(), &rollback).unwrap();
+    assert!(rollback.report.recovery.checkpoints > 0);
+    for (run, checkpoint) in [(traced_smoke_run(), false), (rollback, true)] {
+        let snap = MetricsSnapshot::parse(&run.metrics.to_json_string()).unwrap();
+        let report = BottleneckReport::build(&snap, None);
+        let e = report
+            .energy
+            .as_ref()
+            .expect("event run has energy section");
 
-    assert_eq!(e.total_pj, EnergyModel::default().total_pj(&run.report));
-    let module_sum: u64 = e.modules.iter().map(|(_, pj)| pj).sum();
-    assert_eq!(module_sum, e.total_pj, "module aggregates must conserve");
-    assert_eq!(e.layers.iter().sum::<u64>(), e.total_pj);
-    assert_eq!(e.layers.len(), run.report.layers.len());
-    assert_eq!(e.tiles.len(), run.report.num_tiles);
-    assert!(!e.links.is_empty(), "NoC link energies missing");
-    assert!(e.total_pj > 0);
+        assert_eq!(e.total_pj, EnergyModel::default().total_pj(&run.report));
+        let module_sum: u64 = e.modules.iter().map(|(_, pj)| pj).sum();
+        assert_eq!(module_sum, e.total_pj, "module aggregates must conserve");
+        assert_eq!(e.layers.iter().sum::<u64>(), e.total_pj);
+        assert_eq!(e.layers.len(), run.report.layers.len());
+        assert_eq!(e.tiles.len(), run.report.num_tiles);
+        assert!(!e.links.is_empty(), "NoC link energies missing");
+        assert!(e.total_pj > 0);
 
-    let md = report.to_markdown(5);
-    for needle in ["## Energy", "NoC energy hot spots", "Per-layer energy"] {
-        assert!(md.contains(needle), "missing {needle:?}");
+        let md = report.to_markdown(5);
+        for needle in ["## Energy", "NoC energy hot spots", "Per-layer energy"] {
+            assert!(md.contains(needle), "missing {needle:?}");
+        }
+        assert_eq!(md.contains("| checkpoint |"), checkpoint, "checkpoint row");
     }
 }
 

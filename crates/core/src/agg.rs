@@ -21,7 +21,7 @@
 
 use crate::config::AggParams;
 use crate::msg::Dest;
-use gnna_telemetry::{CostClass, ModuleProbe};
+use gnna_telemetry::ModuleProbe;
 use gnna_tensor::ops::Activation;
 use std::collections::VecDeque;
 
@@ -407,17 +407,6 @@ impl Aggregator {
             self.busy_cycles,
             self.alloc_failures,
         )
-    }
-
-    /// Countable events this module charges to the energy ledger: each
-    /// combined word costs one ALU [`CostClass::MacOp`] plus three
-    /// [`CostClass::SramWord`] accesses (partial read, partial write,
-    /// contribution read).
-    pub fn energy_events(&self) -> [(CostClass, u64); 2] {
-        [
-            (CostClass::MacOp, self.words_combined),
-            (CostClass::SramWord, 3 * self.words_combined),
-        ]
     }
 }
 

@@ -13,7 +13,7 @@ use crate::msg::Dest;
 use gnna_dnn::{mapper, EyerissConfig, MatmulShape};
 use gnna_faults::{FaultCounters, FaultPlan, FaultSite, SiteInjector};
 use gnna_models::{GatLayer, Mlp};
-use gnna_telemetry::{CostClass, ModuleProbe};
+use gnna_telemetry::ModuleProbe;
 use gnna_tensor::ops::{Activation, GruCell};
 use gnna_tensor::Matrix;
 
@@ -433,12 +433,6 @@ impl Dna {
     /// Total MACs executed.
     pub fn macs_executed(&self) -> u64 {
         self.macs_executed
-    }
-
-    /// Countable events this module charges to the energy ledger: one
-    /// [`CostClass::MacOp`] per PE multiply-accumulate.
-    pub fn energy_events(&self) -> [(CostClass, u64); 1] {
-        [(CostClass::MacOp, self.macs_executed)]
     }
 
     /// Total weight words across configured kernels (CONFIG traffic).

@@ -12,7 +12,7 @@
 
 use crate::config::DnqParams;
 use crate::msg::Dest;
-use gnna_telemetry::{CostClass, ModuleProbe};
+use gnna_telemetry::ModuleProbe;
 
 /// One queue entry.
 #[derive(Debug, Clone)]
@@ -325,13 +325,6 @@ impl Dnq {
     /// (entries enqueued, dequeued, queue switches, words filled)
     pub fn stats(&self) -> (u64, u64, u64, u64) {
         (self.enqueued, self.dequeued, self.switches, self.fill_words)
-    }
-
-    /// Countable events this module charges to the energy ledger: each
-    /// filled word costs two [`CostClass::SramWord`] accesses (the
-    /// entry write plus the dequeue read).
-    pub fn energy_events(&self) -> [(CostClass, u64); 1] {
-        [(CostClass::SramWord, 2 * self.fill_words)]
     }
 
     /// Allocation attempts rejected because a ring was full (GPE

@@ -25,7 +25,7 @@ use crate::layout::{BufferRegion, Layout, UnionGraph};
 use crate::msg::{AddressMap, Dest, Message, Tag};
 use crate::stats::StallCause;
 use gnna_noc::Address;
-use gnna_telemetry::{CostClass, ModuleProbe};
+use gnna_telemetry::ModuleProbe;
 use gnna_tensor::ops::leaky_relu;
 use std::collections::{HashSet, VecDeque};
 use std::rc::Rc;
@@ -270,12 +270,6 @@ impl Gpe {
         debug_assert!(self.is_idle(), "batch idle accounting on a busy GPE");
         self.stats.idle_cycles += n;
         self.stats.stall_by_cause[StallCause::NoWork.index()] += n;
-    }
-
-    /// Countable events this module charges to the energy ledger: one
-    /// [`CostClass::GpeOp`] per cycle of useful control work.
-    pub fn energy_events(&self) -> [(CostClass, u64); 1] {
-        [(CostClass::GpeOp, self.stats.op_cycles)]
     }
 
     /// Number of staged outgoing messages.
