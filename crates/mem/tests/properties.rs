@@ -113,7 +113,7 @@ proptest! {
             }
             let _ = ctrl.try_push(MemRequest::read(base + i as u64 * 512, words * 4, 0), 0);
             let s = ctrl.stats();
-            prop_assert!(s.useful_bytes() <= s.dram_bytes);
+            prop_assert!(s.useful_bytes <= s.dram_bytes);
             prop_assert!(s.dram_bytes >= prev_dram);
             prop_assert!((0.0..=1.0).contains(&s.efficiency()));
             prev_dram = s.dram_bytes;

@@ -20,6 +20,20 @@ pub struct NetworkStats {
 }
 
 impl NetworkStats {
+    /// Every exported counter as `(metric suffix, value)`: the one name
+    /// list of the `noc.{suffix}` family. `total_packet_latency` is
+    /// exported as the `mean_packet_latency` gauge instead.
+    pub fn fields(&self) -> [(&'static str, u64); 6] {
+        [
+            ("packets_injected", self.packets_injected),
+            ("packets_delivered", self.packets_delivered),
+            ("flits_injected", self.flits_injected),
+            ("flits_ejected", self.flits_ejected),
+            ("flit_hops", self.flit_hops),
+            ("link_busy_cycles", self.link_busy_cycles),
+        ]
+    }
+
     /// Mean end-to-end packet latency in cycles (0 when nothing was
     /// delivered).
     pub fn mean_packet_latency(&self) -> f64 {
