@@ -149,10 +149,6 @@ impl EnergyRates {
 pub struct EnergyCell {
     /// Full metric name the cell exports to (e.g. `tile0.energy.dna_pj`).
     pub name: String,
-    /// The dominant cost class charged at this site (metadata for
-    /// grouping in reports; mixed-class sites pick their largest
-    /// contributor).
-    pub class: CostClass,
     /// Accumulated energy at this site, in femtojoules.
     pub fj: u64,
 }
@@ -175,21 +171,13 @@ impl EnergyLedger {
     }
 
     /// Appends (or accumulates into) the site `name`, charging `fj`
-    /// femtojoules of `class` energy. Re-charging an existing name adds
-    /// to its cell.
-    pub fn charge(&mut self, name: &str, class: CostClass, fj: u64) {
+    /// femtojoules. Re-charging an existing name adds to its cell.
+    pub fn charge(&mut self, name: &str, fj: u64) {
         if let Some(cell) = self.cells.iter_mut().find(|c| c.name == name) {
             cell.fj = cell.fj.saturating_add(fj);
-            if fj > 0 && class != cell.class {
-                // Mixed-class site: keep the class of the larger share.
-                if fj > cell.fj / 2 {
-                    cell.class = class;
-                }
-            }
         } else {
             self.cells.push(EnergyCell {
                 name: name.to_string(),
-                class,
                 fj,
             });
         }
@@ -333,10 +321,10 @@ mod tests {
     #[test]
     fn ledger_accumulates_and_exports_conserved_counters() {
         let mut ledger = EnergyLedger::new();
-        ledger.charge("tile0.energy.dna_pj", CostClass::MacOp, 3_100 * 7);
-        ledger.charge("tile0.energy.sram_pj", CostClass::SramWord, 6_000 * 3);
-        ledger.charge("tile0.energy.sram_pj", CostClass::SramWord, 500);
-        ledger.charge("mem.energy.ctrl0_pj", CostClass::DramByte, 20_000);
+        ledger.charge("tile0.energy.dna_pj", 3_100 * 7);
+        ledger.charge("tile0.energy.sram_pj", 6_000 * 3);
+        ledger.charge("tile0.energy.sram_pj", 500);
+        ledger.charge("mem.energy.ctrl0_pj", 20_000);
         assert_eq!(ledger.cells().len(), 3);
         assert_eq!(ledger.total_fj(), 3_100 * 7 + 6_000 * 3 + 500 + 20_000);
         assert_eq!(ledger.total_pj(), ledger.total_fj() / FJ_PER_PJ);
