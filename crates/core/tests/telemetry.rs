@@ -1,14 +1,16 @@
 //! Golden observability tests: a GCN run on synthetic Cora must emit a
 //! valid Chrome-trace JSON whose events reconcile with the simulation
 //! report's counters, and attaching telemetry must not perturb timing.
+//! A stall-heavy MPNN run on a divided core clock reconciles the same
+//! way.
 
 use gnna_core::config::AcceleratorConfig;
 use gnna_core::energy::EnergyModel;
-use gnna_core::layers::compile_gcn;
+use gnna_core::layers::{compile_gcn, compile_mpnn};
 use gnna_core::stats::{SimReport, StallCause};
 use gnna_core::system::{System, TraceOptions};
 use gnna_graph::datasets;
-use gnna_models::{Gcn, GcnNorm};
+use gnna_models::{Gcn, GcnNorm, Mpnn};
 use gnna_telemetry::{json, MetricsRegistry, TraceLevel};
 use proptest::prelude::*;
 use std::rc::Rc;
@@ -60,26 +62,62 @@ fn tracing_does_not_perturb_cycle_count() {
     assert!(tracer.borrow().event_count() > 0, "tracer recorded nothing");
 }
 
-#[test]
-fn trace_reconciles_with_report_counters() {
-    let cfg = AcceleratorConfig::gpu_iso_bandwidth();
-    let mut sys = traced_system(&cfg, TraceLevel::Event);
+/// The smoke-scale MPNN:QM9 workload (20 molecules, hidden 64, three
+/// message-passing steps) on CPU iso-BW at a 0.6 GHz core clock, traced
+/// at event level: its GPE threads spend most of the run retrying a
+/// full DNQ behind a busy DNA, on a clock divider of 4.
+fn mpnn_stall_system() -> System {
+    let d = datasets::qm9_scaled(20, 42).unwrap();
+    let mpnn = Mpnn::for_dataset_gilmer(
+        d.vertex_features(),
+        d.edge_features(),
+        64,
+        d.output_features,
+        3,
+        0xD0C5,
+    )
+    .unwrap();
+    let program = compile_mpnn(&mpnn).unwrap();
+    let cfg = AcceleratorConfig::cpu_iso_bandwidth().with_core_clock(0.6e9);
+    let opts = TraceOptions::at_level(TraceLevel::Event);
+    System::with_options(&cfg, &d.instances, program, &opts).unwrap()
+}
+
+/// Checks that the event trace of a finished run reconciles with its
+/// report: spans, completions, stall instants and allocation rejects
+/// each count exactly what the counters count. Returns the report.
+fn assert_trace_reconciles(what: &str, mut sys: System) -> SimReport {
     let tracer = Rc::clone(sys.tracer().unwrap());
     let report = sys.run().unwrap();
     let tracer = tracer.borrow();
+    let tile_sum = |f: fn(&gnna_core::stats::TileCounters) -> u64| -> u64 {
+        report.per_tile.iter().map(f).sum()
+    };
 
     // Every DNA entry shows up as one dna_job span.
-    assert_eq!(tracer.count_named_phase("dna_job", 'B'), report.dna_entries);
-    assert_eq!(tracer.count_named_phase("dna_job", 'E'), report.dna_entries);
+    assert_eq!(
+        tracer.count_named_phase("dna_job", 'B'),
+        report.dna_entries,
+        "{what}"
+    );
+    assert_eq!(
+        tracer.count_named_phase("dna_job", 'E'),
+        report.dna_entries,
+        "{what}"
+    );
     // Every completed aggregation emits one instant.
     assert_eq!(
         tracer.count_named_phase("agg_done", 'i'),
-        report.agg_completed
+        report.agg_completed,
+        "{what}"
     );
     // Per-tile vertex retirements sum to the GPE instants.
-    let vertices: u64 = report.per_tile.iter().map(|t| t.gpe_vertices_done).sum();
-    assert_eq!(tracer.count_named_phase("gpe_vertex_done", 'i'), vertices);
-    assert_eq!(report.per_tile.len(), report.num_tiles);
+    assert_eq!(
+        tracer.count_named_phase("gpe_vertex_done", 'i'),
+        tile_sum(|t| t.gpe_vertices_done),
+        "{what}"
+    );
+    assert_eq!(report.per_tile.len(), report.num_tiles, "{what}");
     // Every resource-stall cycle emits exactly one per-cause instant
     // (idle causes are counter-only), so the cause-named instants sum to
     // the reported stall cycles.
@@ -87,8 +125,38 @@ fn trace_reconciles_with_report_counters() {
         .iter()
         .map(|c| tracer.count_named_phase(c.event_name(), 'i'))
         .sum();
-    let stall_cycles: u64 = report.per_tile.iter().map(|t| t.gpe_stall_cycles).sum();
-    assert_eq!(stall_instants, stall_cycles);
+    assert_eq!(stall_instants, tile_sum(|t| t.gpe_stall_cycles), "{what}");
+    // Every rejected allocation emits one instant on its module track.
+    assert_eq!(
+        tracer.count_named_phase("dnq_alloc_reject", 'i'),
+        tile_sum(|t| t.dnq_alloc_failures),
+        "{what}"
+    );
+    assert_eq!(
+        tracer.count_named_phase("agg_alloc_reject", 'i'),
+        tile_sum(|t| t.agg_alloc_failures),
+        "{what}"
+    );
+    report
+}
+
+#[test]
+fn trace_reconciles_with_report_counters() {
+    let cfg = AcceleratorConfig::gpu_iso_bandwidth();
+    assert_trace_reconciles("gcn", traced_system(&cfg, TraceLevel::Event));
+    let report = assert_trace_reconciles("mpnn", mpnn_stall_system());
+    // The MPNN identities only mean something on the stall path if the
+    // run really retries allocations behind a busy DNA, on a divided
+    // core clock.
+    assert_eq!(report.clock_divider, 4);
+    let dna_busy: u64 = report
+        .per_tile
+        .iter()
+        .map(|t| t.gpe_stall_by_cause[StallCause::DnaBusy.index()])
+        .sum();
+    let rejects: u64 = report.per_tile.iter().map(|t| t.dnq_alloc_failures).sum();
+    assert!(dna_busy > 10_000, "only {dna_busy} dna_busy stall cycles");
+    assert!(rejects > 10_000, "only {rejects} DNQ allocation rejects");
 }
 
 #[test]

@@ -12,6 +12,14 @@
 //! × 2 configurations (CPU iso-BW, GPU iso-BW)
 //! × 3 fault modes (fault-free, fixed-seed transients, permanent degraded)
 //!
+//! plus two fault-free cells at a 0.6 GHz core clock: MPNN:QM9 on CPU
+//! iso-BW and GAT:Cora on GPU iso-BW, at the `gnna-sim --smoke` scale.
+//! The matrix runs the core at the 2.4 GHz master clock, so without them
+//! a cycle-loop change that confuses core ticks with master cycles
+//! (clock divider 4 here) would pass; and its graphs are too small for
+//! GPE threads to find the DNQ or the AGG slot file full, which these
+//! two cells do for most of their run.
+//!
 //! Each cell is reduced to one FNV-1a-64 digest over the CSV rendering
 //! of its harvested `MetricsRegistry` (exactly what `gnna-sim
 //! --metrics-out m.csv` writes for an untraced run) plus the raw
@@ -19,7 +27,7 @@
 //! registry carries every `SimReport` counter — the agreement test below
 //! proves it — so there is nowhere for a behaviour change to hide.
 //!
-//! The same 24 cells plus one rollback run are also run at
+//! The same 26 cells plus one rollback run are also run at
 //! `TraceLevel::Event` and pinned in `tests/golden/sim_metrics_event.txt`.
 //! Only an event-level harvest carries the energy ledger
 //! (`*.energy.*_pj`), the per-link busy counters and the NoC latency/hop
@@ -55,12 +63,20 @@ use gnna_telemetry::{Metric, MetricsRegistry, TraceLevel};
 const MODELS: [&str; 4] = ["gcn", "gat", "mpnn", "pgnn"];
 const CONFIGS: [&str; 2] = ["cpu-iso", "gpu-iso"];
 const MODES: [&str; 3] = ["clean", "transient", "degraded"];
+/// The fault-free cells on a divided core clock, after the matrix.
+const DIVIDED: [(&str, &str); 2] = [
+    ("mpnn-smoke", "cpu-iso-0.6ghz"),
+    ("gat-smoke", "gpu-iso-0.6ghz"),
+];
+
+/// Model seed of the smoke-scale cells (`gnna_bench::MODEL_SEED`).
+const SMOKE_MODEL_SEED: u64 = 0xD0C5;
 
 /// Committed digests of the untraced corpus, one `name digest16` line
 /// per corpus cell.
 const GOLDEN: &str = include_str!("golden/sim_metrics.txt");
 
-/// Committed digests of the event-level corpus (the 24 cells plus the
+/// Committed digests of the event-level corpus (the 26 cells plus the
 /// rollback run).
 const GOLDEN_EVENT: &str = include_str!("golden/sim_metrics_event.txt");
 
@@ -68,13 +84,16 @@ fn config_for(name: &str) -> AcceleratorConfig {
     match name {
         "cpu-iso" => AcceleratorConfig::cpu_iso_bandwidth(),
         "gpu-iso" => AcceleratorConfig::gpu_iso_bandwidth(),
+        "cpu-iso-0.6ghz" => AcceleratorConfig::cpu_iso_bandwidth().with_core_clock(0.6e9),
+        "gpu-iso-0.6ghz" => AcceleratorConfig::gpu_iso_bandwidth().with_core_clock(0.6e9),
         other => panic!("unknown config {other}"),
     }
 }
 
 /// Builds the cell's system with `fault_plan` applied, traced at
-/// `level`: small scaled datasets (the same shapes the end-to-end
-/// functional tests use) so the whole 24-cell corpus runs in seconds
+/// `level`: small scaled datasets for the matrix (the same shapes the
+/// end-to-end functional tests use) and the smoke scale for the two
+/// divided-clock cells, so the whole 26-cell corpus runs in seconds
 /// while still exercising every module and both mesh layouts.
 fn system_for(
     model: &str,
@@ -108,6 +127,30 @@ fn system_for(
             let mpnn = Mpnn::for_dataset(13, 5, 8, 6, 2, 3).unwrap();
             let program = compile_mpnn(&mpnn).unwrap();
             System::with_options(cfg, &d.instances, program, &opts).unwrap()
+        }
+        // The `gnna-sim --smoke` workloads: MPNN hidden 64 with three
+        // message-passing steps and the Gilmer edge network, GAT with 8
+        // heads of 8.
+        "mpnn-smoke" => {
+            let d = datasets::qm9_scaled(20, 42).unwrap();
+            let mpnn = Mpnn::for_dataset_gilmer(
+                d.vertex_features(),
+                d.edge_features(),
+                64,
+                d.output_features,
+                3,
+                SMOKE_MODEL_SEED,
+            )
+            .unwrap();
+            let program = compile_mpnn(&mpnn).unwrap();
+            System::with_options(cfg, &d.instances, program, &opts).unwrap()
+        }
+        "gat-smoke" => {
+            let d = datasets::cora_scaled(120, 64, 7, 42).unwrap();
+            let gat = Gat::for_dataset(64, 7, SMOKE_MODEL_SEED).unwrap();
+            let program = compile_gat(&gat).unwrap();
+            System::with_options(cfg, std::slice::from_ref(&d.instances[0]), program, &opts)
+                .unwrap()
         }
         "pgnn" => {
             let d = datasets::dblp_scaled(25, 9).unwrap();
@@ -199,6 +242,11 @@ fn corpus_at(level: TraceLevel) -> Vec<Cell> {
             }
         }
     }
+    for (model, config) in DIVIDED {
+        let cell = run_traced(model, config, "clean", level);
+        assert_eq!(cell.report.clock_divider, 4, "{}", cell.name);
+        cells.push(cell);
+    }
     cells
 }
 
@@ -282,7 +330,7 @@ fn digests(cells: Vec<Cell>) -> Vec<(String, u64)> {
     cells.into_iter().map(|c| (c.name, c.digest)).collect()
 }
 
-/// The full 24-cell matrix: every digest must match the committed file.
+/// The full 26-cell corpus: every digest must match the committed file.
 #[test]
 fn sim_metrics_digests_match_golden_corpus() {
     check_golden(GOLDEN, "sim_metrics.txt", "", &digests(corpus()));
