@@ -323,6 +323,11 @@ impl Dna {
         self.job.is_some()
     }
 
+    /// The core cycle the current job completes (`None` when idle).
+    pub(crate) fn done_at(&self) -> Option<u64> {
+        self.job.as_ref().map(|j| j.done_at)
+    }
+
     /// Whether the module is fully drained (no job, no pending output).
     pub fn is_idle(&self) -> bool {
         self.job.is_none() && self.pending_output.is_none()
@@ -409,13 +414,23 @@ impl Dna {
         self.idle_cycles
     }
 
-    /// Batch-equivalent of `n` [`Dna::tick`]s of a drained array (no
-    /// job, no pending output): the configured-but-unoccupied idle
-    /// attribution, settled in bulk by the system's event wheel.
-    pub(crate) fn note_idle_ticks(&mut self, n: u64) {
-        debug_assert!(self.is_idle(), "batch idle accounting on a busy DNA");
-        if !self.kernels.is_empty() {
-            self.idle_cycles += n;
+    /// Batch-equivalent of the `n` [`Dna::tick`]s at core cycles
+    /// `first..first + n`, all before the current job completes (or
+    /// with no job at all): busy cycles during a job, the
+    /// configured-but-unoccupied idle attribution otherwise. Settled in
+    /// bulk by the system's event wheel.
+    pub(crate) fn note_ticks(&mut self, first: u64, n: u64) {
+        debug_assert!(
+            self.pending_output.is_none(),
+            "batch accounting with output staged"
+        );
+        match self.done_at() {
+            Some(done_at) => {
+                debug_assert!(first + n <= done_at, "batch accounting past a job's end");
+                self.busy_cycles += n;
+            }
+            None if !self.kernels.is_empty() => self.idle_cycles += n,
+            None => {}
         }
     }
 
@@ -563,6 +578,41 @@ mod tests {
         assert!(dna.is_idle());
         assert_eq!(dna.output_stall_cycles(), 1);
         assert!(dna.idle_cycles() > 0, "post-completion ticks counted idle");
+    }
+
+    /// One `note_ticks` over the ticks before a job completes leaves
+    /// the same state as ticking through them, and so does one over a
+    /// drained, configured array.
+    #[test]
+    fn note_ticks_matches_single_ticks() {
+        let busy = || {
+            let mut dna = Dna::new(EyerissConfig::default());
+            dna.configure(vec![linear_kernel(64, 64)], 64);
+            dna.accept(0, &[1.0; 64], Dest::Mem { addr: 0 }, 3);
+            dna
+        };
+        let done_at = busy().done_at().expect("job accepted");
+        assert!(done_at > 12, "countdown too short to split: {done_at}");
+        for (first, n) in [(4, 1), (4, 7), (9, done_at - 9), (4, done_at - 4)] {
+            let mut one = busy();
+            let mut batch = busy();
+            for now in first..first + n {
+                assert!(one.tick(now).is_none(), "completed early at {now}");
+            }
+            batch.note_ticks(first, n);
+            assert_eq!(format!("{one:?}"), format!("{batch:?}"), "{first}+{n}");
+            assert_eq!(batch.busy_cycles(), n);
+        }
+        let mut one = Dna::new(EyerissConfig::default());
+        one.configure(vec![linear_kernel(4, 2)], 4);
+        let mut batch = Dna::new(EyerissConfig::default());
+        batch.configure(vec![linear_kernel(4, 2)], 4);
+        for now in 0..9 {
+            assert!(one.tick(now).is_none());
+        }
+        batch.note_ticks(0, 9);
+        assert_eq!(format!("{one:?}"), format!("{batch:?}"));
+        assert_eq!(batch.idle_cycles(), 9);
     }
 
     #[test]

@@ -106,6 +106,11 @@ struct Tile {
     dnq_rx: Reassembler<Message>,
     agg_pending: VecDeque<(Address, Message)>,
     dna_pending: VecDeque<(Address, Message)>,
+    /// Whether the GPE's last tick executed no operation: only then is
+    /// the tile worth testing for sleep.
+    spinning: bool,
+    /// Whether a flit reached one of the tile's ports while it slept.
+    delivered: bool,
 }
 
 #[derive(Debug)]
@@ -232,12 +237,13 @@ pub struct System {
     profiler: Option<SharedProfiler>,
     energy_model: EnergyModel,
     degraded: DegradedSummary,
-    /// Idle-module event wheel: quiescent nodes sleep and are skipped
-    /// by [`System::step_cycle`] until a NoC delivery or a scheduled
-    /// timer (a memory controller's next-ready cycle) wakes them.
-    /// Skipped core ticks are settled exactly on wake via the modules'
-    /// `note_idle_ticks` batch hooks, so the wheel is bit-identical to
-    /// the exhaustive sweep (the golden corpus enforces this).
+    /// Event wheel: nodes that cannot act sleep and are skipped by
+    /// [`System::step_cycle`] until a NoC delivery or a scheduled timer
+    /// (a memory controller's next-ready cycle, a tile's DNA completion
+    /// or AGG release) wakes them. Skipped core ticks are settled
+    /// exactly via the modules' `note_ticks` batch hooks, so the wheel
+    /// is bit-identical to the exhaustive sweep (the golden corpus
+    /// enforces this).
     wheel: EventWheel,
     /// Dense node-occupancy maps for the wheel: mesh node (row-major)
     /// per tile / per memory node, and tile index per mesh node.
@@ -419,6 +425,8 @@ impl System {
                     dnq_rx: Reassembler::new(),
                     agg_pending: VecDeque::new(),
                     dna_pending: VecDeque::new(),
+                    spinning: false,
+                    delivered: false,
                 }
             })
             .collect();
@@ -992,7 +1000,7 @@ impl System {
                 p.end_cycle();
             }
         }
-        // Barrier: wake everything and charge the idle ticks the
+        // Barrier: wake everything and charge the core ticks the
         // sleeping windows owe, so per-module counters match a fully
         // polled run bit-for-bit.
         self.settle_sleepers();
@@ -1096,56 +1104,96 @@ impl System {
                 .all(|m| m.ctrl.is_idle() && m.out.is_empty() && m.inbox.is_empty())
     }
 
-    /// Whether tile `t` provably has nothing to do this cycle or any
-    /// future cycle until a new flit reaches one of its ports: every
-    /// module drained, no staged outgoing traffic, nothing waiting at
-    /// its ejection buffers. Such a tile's per-cycle processing reduces
-    /// to the batch idle accounting [`Self::settle_tile`] performs.
-    fn tile_quiescent(&self, t: usize) -> bool {
+    /// Whether tile `t` may sleep after cycle `c`, and until when. A
+    /// tile sleeps when none of its modules can change state before a
+    /// NoC delivery or a module timer: nothing staged for or waiting at
+    /// its ports, an AGG with no job to start, a GPE that only retries
+    /// allocations that cannot succeed (or has nothing to run), and a
+    /// DNA either busy with a job or drained with an empty DNQ. Every
+    /// skipped core tick then repeats the same counter updates, which
+    /// [`Self::settle_tile`] charges in one batch: a DNQ entry frees
+    /// only on a DNA dequeue, and an AGG slot only on a Finalize job.
+    ///
+    /// Returns `None` if the tile must stay awake, else its timer: the
+    /// master cycle of the core tick at which the DNA completes its job
+    /// or the AGG releases a result, whichever is first (`None`: only a
+    /// delivery wakes it).
+    fn sleep_timer(&self, t: usize, c: u64) -> Option<Option<u64>> {
         let tile = &self.tiles[t];
-        tile.agg_pending.is_empty()
-            && tile.dna_pending.is_empty()
-            && tile.gpe.is_idle()
-            && tile.agg.is_idle()
-            && tile.dnq.is_idle()
-            && tile.dna.is_idle()
-            && self.net.ejection_pending(tile.ports.gpe) == 0
-            && self.net.ejection_pending(tile.ports.agg) == 0
-            && self.net.ejection_pending(tile.ports.dnq) == 0
+        let dna_done = tile.dna.done_at();
+        let awake = !tile.agg_pending.is_empty()
+            || !tile.dna_pending.is_empty()
+            || !tile.agg.is_waiting()
+            || (dna_done.is_none() && !tile.dnq.is_idle())
+            || !tile.gpe.can_sleep(&tile.dnq, &tile.agg)
+            || [tile.ports.gpe, tile.ports.agg, tile.ports.dnq]
+                .into_iter()
+                .any(|port| self.net.ejection_pending(port) > 0);
+        if awake {
+            return None;
+        }
+        // A timer that came due while an output queue blocked the module
+        // fires on the next core tick, the one that completes it.
+        let next_tick = c / self.divider + 1;
+        Some(
+            dna_done
+                .into_iter()
+                .chain(tile.agg.release_at())
+                .min()
+                .map(|tick| tick.max(next_tick) * self.divider),
+        )
     }
 
-    /// Charges a freshly woken tile the idle ticks it owes for the
-    /// skipped window `[from, now)`: one batch tick per core tick in the
-    /// window, exactly what per-cycle stepping would have recorded for a
-    /// quiescent tile (GPE idle + no-work stall, DNQ drought streak, DNA
-    /// inter-batch gap; AGG's idle tick is a pure no-op).
+    /// Charges a tile the core ticks it skipped in `[from, now)` while
+    /// asleep: exactly what per-cycle stepping would have recorded, as
+    /// [`Self::sleep_timer`] guarantees every skipped tick repeats the
+    /// one before it (the GPE's scheduler round robin and retried
+    /// allocations, the DNQ idle streak, DNA busy or idle cycles, the
+    /// AGG's ALU busy window).
     fn settle_tile(tile: &mut Tile, from: u64, now: u64, divider: u64) {
         // Core ticks in [from, now) = multiples of `divider` in range.
-        let ticks = now.div_ceil(divider) - from.div_ceil(divider);
+        let first = from.div_ceil(divider);
+        let ticks = now.div_ceil(divider) - first;
         if ticks == 0 {
             return;
         }
-        tile.gpe.note_idle_ticks(ticks);
-        // `dna.can_accept()` is constant across a quiescent window (no
-        // batch in flight, queue membership frozen), so the per-tick
-        // dequeue-order evaluation collapses to one probe.
-        let dna_accepting = tile.dna.can_accept();
-        tile.dnq.note_idle_ticks(ticks, dna_accepting);
-        tile.dna.note_idle_ticks(ticks);
+        let dna_busy = tile.dna.is_busy();
+        tile.gpe
+            .note_ticks(ticks, &mut tile.dnq, &mut tile.agg, dna_busy);
+        tile.agg.note_ticks(first, ticks);
+        tile.dnq.note_ticks(ticks, tile.dna.can_accept());
+        tile.dna.note_ticks(first, ticks);
     }
 
-    /// Wakes every sleeping node and settles the idle ticks it owes.
+    /// Wakes `node` if it sleeps, settling what a tile owes for the
+    /// skipped window up to `now` (a memory node's skipped cycles were
+    /// counter-neutral: an empty node touches nothing).
+    fn wake_node(
+        wheel: &mut EventWheel,
+        tiles: &mut [Tile],
+        node_tile: &[Option<u32>],
+        node: usize,
+        now: u64,
+        divider: u64,
+    ) {
+        if let (Some(from), Some(t)) = (wheel.wake(node), node_tile[node]) {
+            Self::settle_tile(&mut tiles[t as usize], from, now, divider);
+        }
+    }
+
+    /// Wakes every sleeping node and settles the core ticks it owes.
     /// Called at the layer barrier and before building stall/fault
     /// diagnostics so counters reflect the full cycle count.
     fn settle_sleepers(&mut self) {
-        let now = self.cycle;
-        for t in 0..self.tiles.len() {
-            if let Some(from) = self.wheel.wake(self.tile_node[t]) {
-                Self::settle_tile(&mut self.tiles[t], from, now, self.divider);
-            }
-        }
-        for &node in &self.mem_node {
-            self.wheel.wake(node);
+        for node in self.tile_node.iter().chain(&self.mem_node) {
+            Self::wake_node(
+                &mut self.wheel,
+                &mut self.tiles,
+                &self.node_tile,
+                *node,
+                self.cycle,
+                self.divider,
+            );
         }
     }
 
@@ -1200,30 +1248,27 @@ impl System {
         let words_per_flit = self.words_per_flit();
 
         // --- Event wheel ---
-        // Deliveries completed by the previous cycle's NoC step wake
-        // their destination nodes (settling the idle ticks the skipped
-        // window owes), then due memory-controller timers fire.
+        // Due timers wake their nodes (a woken tile settles the core
+        // ticks its skipped window owes), then deliveries completed by
+        // the previous cycle's NoC step wake their destination memory
+        // nodes and flag sleeping tiles, which ingest in the tile sweep.
         {
             let wheel = &mut self.wheel;
             let tiles = &mut self.tiles;
             let node_tile = &self.node_tile;
             let divider = self.divider;
-            self.net.drain_delivered(|node| {
-                if let Some(from) = wheel.wake(node) {
-                    if let Some(t) = node_tile[node] {
-                        Self::settle_tile(&mut tiles[t as usize], from, c, divider);
-                    }
-                }
-            });
             let mut due = std::mem::take(&mut self.due_scratch);
             wheel.due(c, &mut due);
             for node in due.drain(..) {
-                // Memory timers: the skipped window was counter-neutral
-                // (an empty node touches nothing), so waking is all
-                // there is to settle.
-                wheel.wake(node as usize);
+                Self::wake_node(wheel, tiles, node_tile, node as usize, c, divider);
             }
             self.due_scratch = due;
+            self.net.drain_delivered(|node| match node_tile[node] {
+                Some(t) => tiles[t as usize].delivered = wheel.is_asleep(node),
+                None => {
+                    wheel.wake(node);
+                }
+            });
         }
 
         // --- Memory nodes ---
@@ -1320,11 +1365,37 @@ impl System {
         }
 
         // --- Tiles ---
+        // With module probes attached, a sleeping tile is settled one
+        // core tick at a time in its slot of the sweep, so its stall
+        // instants enter the trace in the order per-cycle stepping
+        // emits them.
+        let settle_each_tick =
+            core_tick && self.telemetry.as_ref().is_some_and(|t| !t.tiles.is_empty());
         for t in 0..self.tiles.len() {
-            if self.wheel.is_asleep(self.tile_node[t]) {
-                continue;
+            let node = self.tile_node[t];
+            if self.wheel.is_asleep(node) {
+                // A sleeping tile a flit reached settles the ticks it
+                // skipped, ingests the flit as per-cycle stepping would,
+                // and sleeps on if that changed nothing its skipped ticks
+                // repeat (a DNQ fill behind a busy DNA, a partial read
+                // for a blocked thread).
+                let wakes = std::mem::take(&mut self.tiles[t].delivered) && {
+                    let from = self.wheel.advance(node, c);
+                    Self::settle_tile(&mut self.tiles[t], from, c, self.divider);
+                    self.tile_ingest(t)?;
+                    self.sleep_timer(t, c).is_none()
+                };
+                if !wakes {
+                    if settle_each_tick {
+                        let from = self.wheel.advance(node, c + 1);
+                        Self::settle_tile(&mut self.tiles[t], from, c + 1, self.divider);
+                    }
+                    continue;
+                }
+                self.wheel.wake(node);
+            } else {
+                self.tile_ingest(t)?;
             }
-            self.tile_ingest(t)?;
             self.tile_inject(t);
             if let Some(p) = &prof {
                 p.borrow_mut().lap(HotPhase::TileComms);
@@ -1332,12 +1403,15 @@ impl System {
             if core_tick {
                 self.tile_core_tick(t, core_now);
             }
-            // Event wheel: a quiescent tile's ingest/inject are no-ops
-            // and its core ticks reduce to the batch idle accounting
-            // `settle_tile` charges on wake, so it sleeps until the NoC
-            // delivers it a flit.
-            if self.tile_quiescent(t) {
-                self.wheel.sleep(self.tile_node[t], c + 1);
+            // Event wheel: a tile none of whose modules can act sleeps
+            // until the NoC delivers it a flit or its timer fires.
+            if self.tiles[t].spinning {
+                if let Some(timer) = self.sleep_timer(t, c) {
+                    self.wheel.sleep(node, c + 1);
+                    if let Some(at) = timer {
+                        self.wheel.schedule(node, at);
+                    }
+                }
             }
         }
 
@@ -1525,7 +1599,7 @@ impl System {
                 board: &mut self.board,
                 dna_busy,
             };
-            tile.gpe.tick(&mut ctx);
+            tile.spinning = !tile.gpe.tick(&mut ctx);
         }
         if let Some(p) = &prof {
             p.borrow_mut().lap(HotPhase::Gpe);

@@ -1,33 +1,44 @@
-//! Calendar-queue event wheel: sleep/wake bookkeeping for quiescent
-//! mesh nodes.
+//! Calendar-queue event wheel: sleep/wake bookkeeping for mesh nodes
+//! that cannot act.
 //!
 //! The cycle loop used to poll every tile and memory node every master
 //! cycle, even though on real workloads most modules spend the bulk of
-//! a layer drained — finished with their vertex partition, or waiting
-//! on traffic that is still crossing the mesh. The system now puts a
-//! node whose modules are all provably quiescent to sleep and skips it
-//! entirely; it wakes on exactly two event kinds:
+//! a layer drained — finished with their vertex partition, waiting on
+//! traffic that is still crossing the mesh, or retrying a full DNQ
+//! behind a busy DNA. The system puts a node to sleep when nothing in
+//! it can change before one of these events, and skips it entirely:
 //!
 //! * a **delivery**: the network reports that a flit landed in one of
 //!   the node's ejection buffers ([`gnna_noc::Network::drain_delivered`]);
+//!   a sleeping tile ingests it in its slot of the tile sweep and sleeps
+//!   on if the flit changed nothing its skipped ticks depend on;
 //! * a **timer**: a future cycle scheduled into the calendar queue when
-//!   the node went to sleep (a memory controller's next-ready cycle).
+//!   the node went to sleep — a memory controller's next-ready cycle, or
+//!   the core tick at which a tile's DNA completes its job or its AGG
+//!   releases a finalised result.
 //!
 //! Timers live in a classic timing wheel: `BUCKETS` slots indexed by
 //! `cycle % BUCKETS`, each holding `(wake_cycle, node)` entries. The
 //! per-cycle cost is draining one (almost always empty) bucket; entries
 //! scheduled more than a full rotation out simply stay in their slot
-//! until the rotation that matches their cycle.
+//! until the rotation that matches their cycle. A node keeps one live
+//! timer: sleeping again replaces it, and stale entries drop unfired.
 //!
-//! Sleeping is *exactly* accounted: the wheel records the first skipped
-//! cycle, and on wake the system settles the owed idle ticks through
-//! the modules' `note_idle_ticks` batch hooks — each a proven
-//! batch-equivalent of the ticks the module would have executed while
-//! drained — so every `SimReport` counter stays bit-identical to the
-//! exhaustive per-cycle sweep (the golden corpus enforces this).
+//! Sleeping is *exactly* accounted: the wheel records the first
+//! unsettled cycle, and the system settles the skipped core ticks
+//! through the modules' `note_ticks` batch hooks — each a tested
+//! batch-equivalent of the ticks the module would have executed (the
+//! GPE's scheduler replaying its switch/stall round robin over threads
+//! that retry full allocations, the DNQ idle streak, DNA busy or idle
+//! cycles, the AGG's ALU busy window) — so every `SimReport` counter
+//! stays bit-identical to the exhaustive per-cycle sweep (the golden
+//! corpus enforces this).
 
 /// Timer slots; a power of two so the modulo compiles to a mask.
 const BUCKETS: usize = 256;
+
+/// [`EventWheel::timer`] of a node with no live timer.
+const NO_TIMER: u64 = u64::MAX;
 
 /// Sleep/wake state for every mesh node plus the timer calendar.
 #[derive(Debug)]
@@ -35,6 +46,10 @@ pub(crate) struct EventWheel {
     asleep: Vec<bool>,
     /// First skipped cycle, per sleeping node.
     slept_from: Vec<u64>,
+    /// Per node, the cycle of its live timer ([`NO_TIMER`]: none).
+    /// Entries filed for any other cycle are stale — the node slept
+    /// again since — and are dropped unfired.
+    timer: Vec<u64>,
     /// `(wake_cycle, node)` entries, filed under `wake_cycle % BUCKETS`.
     buckets: Vec<Vec<(u64, u32)>>,
 }
@@ -44,6 +59,7 @@ impl EventWheel {
         EventWheel {
             asleep: vec![false; num_nodes],
             slept_from: vec![0; num_nodes],
+            timer: vec![NO_TIMER; num_nodes],
             buckets: (0..BUCKETS).map(|_| Vec::new()).collect(),
         }
     }
@@ -53,12 +69,21 @@ impl EventWheel {
         self.asleep[node]
     }
 
-    /// Puts `node` to sleep; `from_cycle` is the first cycle it will
-    /// skip (used to settle owed idle ticks on wake).
+    /// Puts `node` to sleep with no timer; `from_cycle` is the first
+    /// cycle it will skip (used to settle owed ticks on wake).
     pub fn sleep(&mut self, node: usize, from_cycle: u64) {
         debug_assert!(!self.asleep[node], "node {node} already asleep");
         self.asleep[node] = true;
         self.slept_from[node] = from_cycle;
+        self.timer[node] = NO_TIMER;
+    }
+
+    /// Moves a sleeping node's first unsettled cycle to `to` and returns
+    /// the old one: the caller settles `[old, to)` while the node sleeps
+    /// on.
+    pub fn advance(&mut self, node: usize, to: u64) -> u64 {
+        debug_assert!(self.asleep[node], "node {node} is awake");
+        std::mem::replace(&mut self.slept_from[node], to)
     }
 
     /// Wakes `node`. Returns the first cycle it skipped if it was
@@ -72,26 +97,32 @@ impl EventWheel {
         Some(self.slept_from[node])
     }
 
-    /// Schedules a timer wake for `node` at cycle `at`.
+    /// Schedules a timer wake for `node` at cycle `at`, replacing any
+    /// timer it had.
     pub fn schedule(&mut self, node: usize, at: u64) {
+        self.timer[node] = at;
         self.buckets[(at as usize) % BUCKETS].push((at, node as u32));
     }
 
     /// Collects the nodes whose timers are due at `cycle` into `out`
     /// (callers keep the scratch vector to avoid per-cycle allocation).
-    /// Entries filed in this bucket for a later rotation are retained.
+    /// Entries filed in this bucket for a later rotation are retained;
+    /// stale ones are dropped.
     pub fn due(&mut self, cycle: u64, out: &mut Vec<u32>) {
         let bucket = &mut self.buckets[(cycle as usize) % BUCKETS];
         if bucket.is_empty() {
             return;
         }
+        let timer = &mut self.timer;
         bucket.retain(|&(at, node)| {
-            if at <= cycle {
-                out.push(node);
-                false
-            } else {
-                true
+            if at > cycle {
+                return true;
             }
+            if timer[node as usize] == at {
+                timer[node as usize] = NO_TIMER;
+                out.push(node);
+            }
+            false
         });
     }
 }
@@ -147,13 +178,33 @@ mod tests {
 
     #[test]
     fn late_drain_fires_overdue_timers() {
-        // If a bucket is visited past the scheduled cycle (e.g. the node
-        // was woken by a delivery and re-slept), the overdue entry still
-        // fires instead of lingering forever.
+        // If a bucket is visited past the scheduled cycle, the overdue
+        // entry still fires instead of lingering forever.
         let mut w = EventWheel::new(1);
         w.schedule(0, 7);
         let mut due = Vec::new();
         w.due(7 + BUCKETS as u64, &mut due);
+        assert_eq!(due, vec![0]);
+    }
+
+    #[test]
+    fn stale_timers_are_dropped_unfired() {
+        // A node woken early that sleeps again keeps only its new timer
+        // (or none): the old entry must not wake it early.
+        let mut w = EventWheel::new(2);
+        let mut due = Vec::new();
+        w.sleep(0, 1);
+        w.schedule(0, 10);
+        w.sleep(1, 1);
+        w.schedule(1, 10);
+        assert_eq!(w.wake(0), Some(1));
+        assert_eq!(w.wake(1), Some(1));
+        w.sleep(0, 5);
+        w.schedule(0, 12);
+        w.sleep(1, 5);
+        w.due(10, &mut due);
+        assert!(due.is_empty(), "stale entries fired: {due:?}");
+        w.due(12, &mut due);
         assert_eq!(due, vec![0]);
     }
 }
