@@ -610,15 +610,8 @@ impl Gpe {
                     );
                     return StepResult::Progress;
                 }
-                // Woken: decode. The address-generation path bounds-checks
-                // the fetched row pointers against the edge array (real
-                // AGUs clamp to the buffer extent), so a corrupted word
-                // delivered by fault pass-through degrades the result
-                // instead of hanging or crashing the machine. Clean words
-                // are always in range, so this is a no-op fault-free.
-                let edges = ctx.union.num_edges() as u32;
-                task.edge_base = task.recv[0].min(edges);
-                task.deg = task.recv[1].min(edges).saturating_sub(task.edge_base);
+                // Woken: decode.
+                (task.edge_base, task.deg) = row_span(&task.recv, ctx);
                 if layer.program.needs_structure() && task.deg > 0 {
                     task.phase = Phase::FetchNeighbors { issued: false };
                 } else {
@@ -643,11 +636,7 @@ impl Gpe {
                     );
                     return StepResult::Progress;
                 }
-                // Same bounds check on fetched neighbour ids: a poisoned
-                // index is clamped into the vertex space rather than
-                // driving an out-of-range feature read.
-                let max_node = (ctx.union.num_nodes() as u32).saturating_sub(1);
-                task.neighbors = task.recv.iter().map(|&u| u.min(max_node)).collect();
+                task.neighbors = task.recv.iter().map(|&u| node_id(u, ctx)).collect();
                 task.phase = Phase::Body(new_body(&layer.program));
                 StepResult::Progress
             }
@@ -1244,8 +1233,7 @@ impl Gpe {
                         }
                         3 => {
                             // Woken with row pointers of frontier[*fi].
-                            *u_base = task.recv[0];
-                            *u_deg = task.recv[1] - task.recv[0];
+                            (*u_base, *u_deg) = row_span(&task.recv, ctx);
                             if *u_deg == 0 {
                                 *fi += 1;
                                 *st = 2;
@@ -1272,7 +1260,7 @@ impl Gpe {
                         4 => {
                             // Dedup-insert one candidate per cycle (ALU work).
                             if *wi < task.recv.len() {
-                                let w = task.recv[*wi];
+                                let w = node_id(task.recv[*wi], ctx);
                                 *wi += 1;
                                 if seen.insert(w) {
                                     next.push(w);
@@ -1368,6 +1356,25 @@ impl Gpe {
         task.phase = Phase::Body(body);
         result
     }
+}
+
+/// Decodes fetched row pointers `[start, end)` into `(edge base,
+/// degree)`. The address-generation path bounds-checks them against the
+/// edge array (real AGUs clamp to the buffer extent), so a corrupted
+/// word delivered by fault pass-through degrades the result instead of
+/// hanging or crashing the machine. Clean words are always in range, so
+/// this is a no-op fault-free.
+fn row_span(recv: &[u32], ctx: &GpeCtx<'_>) -> (u32, u32) {
+    let edges = ctx.union.num_edges() as u32;
+    let base = recv[0].min(edges);
+    (base, recv[1].min(edges).saturating_sub(base))
+}
+
+/// Decodes a fetched neighbour id with the same bounds check: a poisoned
+/// index is clamped into the vertex space rather than driving an
+/// out-of-range read.
+fn node_id(u: u32, ctx: &GpeCtx<'_>) -> u32 {
+    u.min((ctx.union.num_nodes() as u32).saturating_sub(1))
 }
 
 fn new_task(v: u32, layer: &Layer) -> Task {

@@ -1,15 +1,16 @@
 //! Instruments fixed at construction must not perturb a run: a system
 //! built with event-level tracing, host profiling and an empty fault plan
-//! simulates bit-identically to a bare one, and an invalid fault plan is
-//! refused when the system is built.
+//! simulates bit-identically to a bare one, an invalid fault plan is
+//! refused when the system is built, and corrupted words a fault plan
+//! lets through end a run in a result, not a crash.
 
 use gnna::core::config::AcceleratorConfig;
-use gnna::core::layers::compile_gcn;
+use gnna::core::layers::{compile_gcn, compile_pgnn};
 use gnna::core::system::{System, TraceOptions};
 use gnna::core::CoreError;
 use gnna::graph::datasets;
-use gnna::models::{Gcn, GcnNorm};
-use gnna_faults::FaultPlan;
+use gnna::models::{Gcn, GcnNorm, Pgnn};
+use gnna_faults::{FaultPlan, RecoveryMode};
 use gnna_telemetry::TraceLevel;
 
 /// A two-layer GCN on scaled Cora, on the 8-tile GPU iso-BW mesh.
@@ -72,4 +73,46 @@ fn invalid_fault_plan_is_refused_at_construction() {
         build(Some(&opts)),
         Err(CoreError::InvalidConfig { .. })
     ));
+}
+
+/// Pass-through delivers corrupted row pointers and neighbour ids into
+/// PowerGather's frontier walk (`gnna-sim --model pgnn --smoke
+/// --fault-recovery passthrough --fault-rate 0.005` aborted on an
+/// allocation of ~17 GB or read past the end of memory). On a smaller
+/// DBLP stand-in, both rates below corrupt both decode sites (the
+/// degree subtraction and the neighbour id); every run must end in a
+/// report or a structured error, never in a panic or an abort.
+#[test]
+fn corrupted_pgnn_structure_words_end_in_a_result() {
+    let d = datasets::dblp_scaled(20, 42).unwrap();
+    let pgnn = Pgnn::deep(
+        &[0, 1, 2, 4],
+        d.vertex_features(),
+        16,
+        d.output_features,
+        2,
+        0xD0C5,
+    )
+    .unwrap();
+    for rate in [0.005, 0.01] {
+        let opts = TraceOptions {
+            fault_plan: Some(
+                FaultPlan::new(1)
+                    .with_rate(rate)
+                    .with_recovery(RecoveryMode::Passthrough),
+            ),
+            ..TraceOptions::default()
+        };
+        for cfg in [
+            AcceleratorConfig::gpu_iso_bandwidth(),
+            AcceleratorConfig::cpu_iso_bandwidth(),
+        ] {
+            let program = compile_pgnn(&pgnn).unwrap();
+            let mut sys = System::with_options(&cfg, &d.instances, program, &opts).unwrap();
+            if let Ok(report) = sys.run() {
+                let sdc = report.resilience.total().sdc;
+                assert!(sdc > 0, "{} at {rate}: nothing corrupted", cfg.name);
+            }
+        }
+    }
 }
