@@ -281,8 +281,8 @@ fn main() -> ExitCode {
             println!(
                 "report: {path} ({} tiles, {} links, {} stall causes)",
                 report.tiles.len(),
-                report.links.len(),
-                report.stall_totals.len()
+                report.links.rows.len(),
+                report.stalls.rows.len()
             );
         }
     }

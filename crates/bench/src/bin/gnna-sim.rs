@@ -497,7 +497,7 @@ fn main() -> ExitCode {
         if let Some(path) = &args.profile_json {
             let mut sub = MetricsRegistry::new();
             for (name, m) in run.metrics.iter() {
-                if name.starts_with("host.profile.") {
+                if gnna_telemetry::profile::PROFILE_KEYS.id(name).is_some() {
                     match m {
                         Metric::Counter(v) => sub.counter_set(name, *v),
                         Metric::Gauge(v) => sub.gauge_set(name, *v),

@@ -23,7 +23,7 @@
 //! this module; it was lifted out so the `gnna-serve` daemon and future
 //! sweep tools ride the same scheduler.
 
-use crate::accuracy::{run_with_faults, Accuracy, FaultRun};
+use crate::accuracy::{run_with_faults, FaultRun};
 use crate::{build_case, BenchCase, BenchError, Scale};
 use gnna_core::config::AcceleratorConfig;
 use gnna_core::energy::EnergyModel;
@@ -32,7 +32,7 @@ use gnna_executor::{Executor, ExecutorError};
 use gnna_faults::{CrcDomain, EccDomain, FaultPlan, MeshDir, PhysicalRates, RecoveryMode};
 use gnna_models::ModelKind;
 use gnna_telemetry::energy::FJ_PER_PJ;
-use gnna_telemetry::json;
+use gnna_telemetry::json::{self, JsonValue};
 use std::fmt;
 
 /// Protection mode of a campaign cell.
@@ -298,28 +298,231 @@ pub fn checkpoint_pj(rec: &RecoverySummary) -> u64 {
     fj / FJ_PER_PJ
 }
 
-fn push_kv_str(out: &mut String, key: &str, v: &str) {
-    out.push('"');
-    out.push_str(key);
-    out.push_str("\":\"");
-    json::escape_into(out, v);
-    out.push_str("\",");
+/// When a record field is written and what reading it demands.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Emit {
+    /// Always written; a line without it is refused.
+    Required,
+    /// Always written; read as its default when absent.
+    Always,
+    /// Written only when it differs from its default, so legacy grids
+    /// (fully protected domains, per-event rates) keep producing
+    /// byte-identical records.
+    NonDefault,
+    /// The recovery group: all of it is written when any of it differs
+    /// from its default (that is, when the cell took checkpoints).
+    Recovery,
 }
 
-fn push_kv_u64(out: &mut String, key: &str, v: u64) {
-    out.push('"');
-    out.push_str(key);
-    out.push_str("\":");
-    out.push_str(&v.to_string());
-    out.push(',');
+/// A mutable view of one record field, by JSON type.
+enum Slot<'a> {
+    U64(&'a mut u64),
+    F64(&'a mut f64),
+    Str(&'a mut String),
 }
 
-fn push_kv_f64(out: &mut String, key: &str, v: f64) {
-    out.push('"');
-    out.push_str(key);
-    out.push_str("\":");
-    out.push_str(&json::number(v));
-    out.push(',');
+impl Slot<'_> {
+    fn is_default(&self) -> bool {
+        match self {
+            Slot::U64(v) => **v == 0,
+            Slot::F64(v) => **v == 0.0,
+            Slot::Str(v) => v.is_empty(),
+        }
+    }
+}
+
+/// Declares [`CampaignRecord`] and its one field list
+/// (`CampaignRecord::fields_mut`), so each field's name, type and
+/// emission rule is stated once.
+macro_rules! campaign_record {
+    ($($(#[$doc:meta])* $name:ident: $ty:ident = $emit:ident,)*) => {
+        /// One `gnna-campaign` JSONL record: what [`render_cell`] writes
+        /// and [`parse_campaign_jsonl`] reads back.
+        #[derive(Debug, Clone, PartialEq, Default)]
+        pub struct CampaignRecord {
+            $($(#[$doc])* pub $name: $ty,)*
+        }
+
+        impl CampaignRecord {
+            /// Every field as `(JSON key, slot, emission rule)`, in
+            /// record order.
+            fn fields_mut(&mut self) -> Vec<(&'static str, Slot<'_>, Emit)> {
+                vec![$((stringify!($name), campaign_record!(@slot $ty, self.$name), Emit::$emit),)*]
+            }
+        }
+    };
+    (@slot u64, $f:expr) => { Slot::U64(&mut $f) };
+    (@slot f64, $f:expr) => { Slot::F64(&mut $f) };
+    (@slot String, $f:expr) => { Slot::Str(&mut $f) };
+}
+
+campaign_record! {
+    /// Cell index in the canonical grid order.
+    cell: u64 = Always,
+    /// Model family name (`GCN`, `GAT`, `MPNN`, `PGNN`).
+    model: String = Required,
+    /// Input dataset name.
+    input: String = Required,
+    /// Accelerator configuration name (Table VI row).
+    config: String = Always,
+    /// Protection mode (`protected`, `passthrough`, `degraded`, `rollback`).
+    mode: String = Required,
+    /// Swept fault rate (in `rate_unit` units).
+    rate: f64 = Required,
+    /// Fault-plan seed.
+    seed: u64 = Always,
+    /// `"ok"` or `"unrecoverable"`.
+    status: String = Required,
+    /// Faulting site for unrecoverable cells (empty otherwise).
+    site: String = Always,
+    /// Fault message for unrecoverable cells (empty otherwise).
+    msg: String = Always,
+    /// End-to-end NoC-clock cycles of the run (0 if unrecoverable).
+    total_cycles: u64 = Always,
+    /// Total injected faults across all sites.
+    injected: u64 = Always,
+    /// Faults corrected in place.
+    corrected: u64 = Always,
+    /// Faults recovered by a retry.
+    retried: u64 = Always,
+    /// Faults no protection recovered.
+    unrecoverable: u64 = Always,
+    /// Silent data corruptions (pass-through deliveries).
+    sdc: u64 = Always,
+    /// Memory-site injections.
+    mem_injected: u64 = Always,
+    /// Memory-site SDCs.
+    mem_sdc: u64 = Always,
+    /// NoC-site injections.
+    noc_injected: u64 = Always,
+    /// NoC-site SDCs.
+    noc_sdc: u64 = Always,
+    /// Dead tiles configured for the cell.
+    dead_tiles: u64 = Always,
+    /// Dead mesh links configured for the cell.
+    dead_links: u64 = Always,
+    /// Vertices remapped off dead tiles.
+    remapped_vertices: u64 = Always,
+    /// Output rows graded by the accuracy harness.
+    rows: u64 = Always,
+    /// Output elements graded.
+    elements: u64 = Always,
+    /// Rows whose top-1 label flipped vs the functional reference.
+    label_flips: u64 = Always,
+    /// Non-finite output elements.
+    nonfinite: u64 = Always,
+    /// Maximum per-element relative error.
+    max_rel_err: f64 = Always,
+    /// Mean per-element relative error.
+    mean_rel_err: f64 = Always,
+    /// Selective protection domain (`ecc/crc` label; empty for the
+    /// fully protected default).
+    domain: String = NonDefault,
+    /// Unit of the `rate` field (empty for per-event probabilities;
+    /// `"fit"` for physically calibrated sweeps).
+    rate_unit: String = NonDefault,
+    /// Checkpoints taken under rollback recovery.
+    checkpoints: u64 = Recovery,
+    /// Rollbacks performed under rollback recovery.
+    rollbacks: u64 = Recovery,
+    /// Cycles discarded and re-executed by rollbacks.
+    replayed_cycles: u64 = Recovery,
+    /// Checkpoint/rollback traffic energy in integer picojoules.
+    checkpoint_pj: u64 = Recovery,
+}
+
+impl CampaignRecord {
+    /// `model:input` benchmark label.
+    pub fn benchmark(&self) -> String {
+        format!("{}:{}", self.model, self.input)
+    }
+
+    /// Mode label with the protection domain folded in (`passthrough`,
+    /// or `passthrough[weights/all]` for a non-default domain), so
+    /// domain sweeps don't collapse into one aggregation group.
+    pub fn mode_label(&self) -> String {
+        if self.domain.is_empty() {
+            self.mode.clone()
+        } else {
+            format!("{}[{}]", self.mode, self.domain)
+        }
+    }
+
+    /// Fraction of graded rows whose top-1 label flipped.
+    pub fn flip_rate(&self) -> f64 {
+        if self.rows == 0 {
+            0.0
+        } else {
+            self.label_flips as f64 / self.rows as f64
+        }
+    }
+
+    /// The record as one JSON line (no trailing newline).
+    pub fn to_json(&self) -> String {
+        let mut copy = self.clone();
+        let fields = copy.fields_mut();
+        let recovery = fields
+            .iter()
+            .any(|(_, slot, emit)| *emit == Emit::Recovery && !slot.is_default());
+        let mut out = String::from("{");
+        for (key, slot, emit) in fields {
+            let skip = match emit {
+                Emit::NonDefault => slot.is_default(),
+                Emit::Recovery => !recovery,
+                Emit::Required | Emit::Always => false,
+            };
+            if skip {
+                continue;
+            }
+            if out.len() > 1 {
+                out.push(',');
+            }
+            out.push('"');
+            out.push_str(key);
+            out.push_str("\":");
+            match slot {
+                Slot::U64(v) => out.push_str(&v.to_string()),
+                Slot::F64(v) => out.push_str(&json::number(*v)),
+                Slot::Str(v) => {
+                    out.push('"');
+                    json::escape_into(&mut out, v);
+                    out.push('"');
+                }
+            }
+        }
+        out.push('}');
+        out
+    }
+}
+
+/// Parse a `gnna-campaign` JSONL file into records (one per line).
+///
+/// # Errors
+///
+/// Returns a `"line N: …"` message for unparsable lines or lines missing
+/// a required field.
+pub fn parse_campaign_jsonl(text: &str) -> Result<Vec<CampaignRecord>, String> {
+    let mut out = Vec::new();
+    for (i, line) in text.lines().enumerate() {
+        if line.trim().is_empty() {
+            continue;
+        }
+        let doc = json::parse(line).map_err(|e| format!("line {}: {e}", i + 1))?;
+        let mut record = CampaignRecord::default();
+        for (key, slot, emit) in record.fields_mut() {
+            let v = doc.get(key);
+            let found = match slot {
+                Slot::U64(f) => v.and_then(JsonValue::as_u64).map(|v| *f = v),
+                Slot::F64(f) => v.and_then(JsonValue::as_f64).map(|v| *f = v),
+                Slot::Str(f) => v.and_then(JsonValue::as_str).map(|v| *f = v.to_string()),
+            };
+            if found.is_none() && emit == Emit::Required {
+                return Err(format!("line {}: missing field {key}", i + 1));
+            }
+        }
+        out.push(record);
+    }
+    Ok(out)
 }
 
 /// Renders one cell: runs the simulation and formats the JSONL record
@@ -336,75 +539,49 @@ pub fn render_cell(
     cell: &Cell,
 ) -> Result<String, BenchError> {
     let plan = spec.plan_for(cell);
-    let run = run_with_faults(case, &spec.config, &plan)?;
-    let (status, site, msg, report, accuracy) = match &run {
-        FaultRun::Completed { report, accuracy } => {
-            ("ok", String::new(), String::new(), Some(report), *accuracy)
-        }
-        FaultRun::Unrecoverable { site, msg } => (
-            "unrecoverable",
-            site.clone(),
-            msg.clone(),
-            None,
-            Accuracy::default(),
-        ),
+    let mut r = CampaignRecord {
+        cell: cell.index as u64,
+        model: cell.model.name().to_string(),
+        input: cell.input.to_string(),
+        config: spec.config.name.clone(),
+        mode: cell.mode.as_str().to_string(),
+        rate: cell.rate,
+        seed: cell.seed,
+        domain: cell.domain_label().unwrap_or_default(),
+        ..CampaignRecord::default()
     };
-    let mut out = String::with_capacity(512);
-    out.push('{');
-    push_kv_u64(&mut out, "cell", cell.index as u64);
-    push_kv_str(&mut out, "model", cell.model.name());
-    push_kv_str(&mut out, "input", cell.input);
-    push_kv_str(&mut out, "config", &spec.config.name);
-    push_kv_str(&mut out, "mode", cell.mode.as_str());
-    push_kv_f64(&mut out, "rate", cell.rate);
-    push_kv_u64(&mut out, "seed", cell.seed);
-    push_kv_str(&mut out, "status", status);
-    push_kv_str(&mut out, "site", &site);
-    push_kv_str(&mut out, "msg", &msg);
-    let (cycles, res, deg) = match report {
-        Some(r) => (r.total_cycles, r.resilience, r.degraded),
-        None => (0, Default::default(), Default::default()),
-    };
-    let total = res.total();
-    push_kv_u64(&mut out, "total_cycles", cycles);
-    push_kv_u64(&mut out, "injected", total.injected);
-    push_kv_u64(&mut out, "corrected", total.corrected);
-    push_kv_u64(&mut out, "retried", total.retried);
-    push_kv_u64(&mut out, "unrecoverable", total.unrecoverable);
-    push_kv_u64(&mut out, "sdc", total.sdc);
-    push_kv_u64(&mut out, "mem_injected", res.mem.injected);
-    push_kv_u64(&mut out, "mem_sdc", res.mem.sdc);
-    push_kv_u64(&mut out, "noc_injected", res.noc.injected);
-    push_kv_u64(&mut out, "noc_sdc", res.noc.sdc);
-    push_kv_u64(&mut out, "dead_tiles", deg.dead_tiles);
-    push_kv_u64(&mut out, "dead_links", deg.dead_links);
-    push_kv_u64(&mut out, "remapped_vertices", deg.remapped_vertices);
-    push_kv_u64(&mut out, "rows", accuracy.rows);
-    push_kv_u64(&mut out, "elements", accuracy.elements);
-    push_kv_u64(&mut out, "label_flips", accuracy.label_flips);
-    push_kv_u64(&mut out, "nonfinite", accuracy.nonfinite);
-    push_kv_f64(&mut out, "max_rel_err", accuracy.max_rel_err);
-    push_kv_f64(&mut out, "mean_rel_err", accuracy.mean_rel_err);
-    // Extension keys are emitted only when they differ from their
-    // defaults, so legacy grids (fully protected domains, per-event
-    // rates, no recovery) keep producing byte-identical records.
-    if let Some(domain) = cell.domain_label() {
-        push_kv_str(&mut out, "domain", &domain);
-    }
     if spec.rate_unit != RateUnit::PerEvent {
-        push_kv_str(&mut out, "rate_unit", spec.rate_unit.as_str());
+        r.rate_unit = spec.rate_unit.as_str().to_string();
     }
-    let rec = report.map(|r| r.recovery).unwrap_or_default();
-    if rec.any() {
-        push_kv_u64(&mut out, "checkpoints", rec.checkpoints);
-        push_kv_u64(&mut out, "rollbacks", rec.rollbacks);
-        push_kv_u64(&mut out, "replayed_cycles", rec.replayed_cycles);
-        push_kv_u64(&mut out, "checkpoint_pj", checkpoint_pj(&rec));
+    match run_with_faults(case, &spec.config, &plan)? {
+        FaultRun::Unrecoverable { site, msg } => {
+            r.status = "unrecoverable".to_string();
+            r.site = site;
+            r.msg = msg;
+        }
+        FaultRun::Completed { report, accuracy } => {
+            r.status = "ok".to_string();
+            let (res, deg) = (report.resilience, report.degraded);
+            let total = res.total();
+            r.total_cycles = report.total_cycles;
+            (r.injected, r.corrected, r.retried) = (total.injected, total.corrected, total.retried);
+            (r.unrecoverable, r.sdc) = (total.unrecoverable, total.sdc);
+            (r.mem_injected, r.mem_sdc) = (res.mem.injected, res.mem.sdc);
+            (r.noc_injected, r.noc_sdc) = (res.noc.injected, res.noc.sdc);
+            (r.dead_tiles, r.dead_links) = (deg.dead_tiles, deg.dead_links);
+            r.remapped_vertices = deg.remapped_vertices;
+            (r.rows, r.elements) = (accuracy.rows, accuracy.elements);
+            (r.label_flips, r.nonfinite) = (accuracy.label_flips, accuracy.nonfinite);
+            (r.max_rel_err, r.mean_rel_err) = (accuracy.max_rel_err, accuracy.mean_rel_err);
+            let rec = report.recovery;
+            if rec.any() {
+                (r.checkpoints, r.rollbacks) = (rec.checkpoints, rec.rollbacks);
+                r.replayed_cycles = rec.replayed_cycles;
+                r.checkpoint_pj = checkpoint_pj(&rec);
+            }
+        }
     }
-    // Replace the trailing comma with the closing brace.
-    out.pop();
-    out.push('}');
-    Ok(out)
+    Ok(r.to_json())
 }
 
 /// Finds where a partially written campaign file can resume: returns

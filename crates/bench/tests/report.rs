@@ -3,7 +3,9 @@
 //! and check that `gnna-report`'s library path reconstructs a faithful
 //! bottleneck report from the files alone.
 
-use gnna_bench::report::{parse_trace_json, BottleneckReport, DiffReport, MetricsSnapshot};
+use gnna_bench::report::{
+    parse_trace_json, BottleneckReport, DiffReport, MetricsSnapshot, Section, Value,
+};
 use gnna_bench::{build_case, simulate_traced_opts, Scale, TraceOptions};
 use gnna_core::config::AcceleratorConfig;
 use gnna_core::energy::EnergyModel;
@@ -36,27 +38,32 @@ fn report_from_simulated_metrics_reconciles() {
     let report = BottleneckReport::build(&snap, Some(trace));
 
     // System figures match the in-memory report.
-    assert_eq!(report.total_cycles, run.report.total_cycles);
-    assert_eq!(report.clock_divider, run.report.clock_divider);
-    assert_eq!(report.core_cycles(), run.report.core_cycles());
+    let system = |metric: &str| report.system.get(metric).map(Value::count);
+    assert_eq!(system("total_cycles"), Some(run.report.total_cycles));
+    assert_eq!(system("clock_divider"), Some(run.report.clock_divider));
+    assert_eq!(system("core_cycles"), Some(run.report.core_cycles()));
     assert_eq!(report.tiles.len(), run.report.num_tiles);
 
     // Stall causes partition blocked cycles in the file-based view too.
+    let sum = |s: &Section, labelled: bool| -> u64 {
+        let rows = s.rows.iter().filter(|r| r.label.is_some() == labelled);
+        rows.map(|r| r.value.count()).sum()
+    };
+    let blocked = |t: &Section| t.get("gpe_blocked_pct").map_or(0, Value::count);
     for t in &report.tiles {
-        let attributed: u64 = t.stalls.iter().map(|(_, v)| v).sum();
         assert_eq!(
-            attributed, t.gpe_blocked,
-            "tile {}: file-based stall partition broken",
-            t.tile
+            sum(t, false),
+            blocked(t),
+            "{}: file-based stall partition broken",
+            t.name
         );
     }
-    let total_blocked: u64 = report.tiles.iter().map(|t| t.gpe_blocked).sum();
-    let total_stalls: u64 = report.stall_totals.iter().map(|(_, v)| v).sum();
-    assert_eq!(total_stalls, total_blocked);
+    let total_blocked: u64 = report.tiles.iter().map(blocked).sum();
+    assert_eq!(sum(&report.stalls, true), total_blocked);
 
     // Event-level run carries link loads and non-degenerate latency.
-    assert!(!report.links.is_empty(), "no per-link loads in report");
-    assert!(report.links[0].busy > 0);
+    assert!(!report.links.rows.is_empty(), "no per-link loads in report");
+    assert!(report.links.rows[0].value.count() > 0);
     let lat = report.latency.expect("latency histogram in report");
     assert!(lat.p50 > 0.0 && lat.p50 <= lat.p95 && lat.p95 <= lat.p99);
     let hops = report.hops.expect("hop histogram in report");
@@ -136,12 +143,19 @@ fn energy_section_reconciles_from_files() {
             .expect("event run has energy section");
 
         assert_eq!(e.total_pj, EnergyModel::default().total_pj(&run.report));
-        let module_sum: u64 = e.modules.iter().map(|(_, pj)| pj).sum();
-        assert_eq!(module_sum, e.total_pj, "module aggregates must conserve");
-        assert_eq!(e.layers.iter().sum::<u64>(), e.total_pj);
-        assert_eq!(e.layers.len(), run.report.layers.len());
-        assert_eq!(e.tiles.len(), run.report.num_tiles);
-        assert!(!e.links.is_empty(), "NoC link energies missing");
+        let sum = |s: &Section| -> u64 {
+            let rows = s.rows.iter().filter(|r| r.label.is_some());
+            rows.map(|r| r.value.count()).sum()
+        };
+        assert_eq!(
+            sum(&e.modules),
+            e.total_pj,
+            "module aggregates must conserve"
+        );
+        assert_eq!(sum(&e.layers), e.total_pj);
+        assert_eq!(e.layers.rows.len(), run.report.layers.len());
+        assert_eq!(e.tiles.rows.len(), run.report.num_tiles);
+        assert!(!e.links.rows.is_empty(), "NoC link energies missing");
         assert!(e.total_pj > 0);
 
         let md = report.to_markdown(5);
@@ -279,11 +293,11 @@ fn passthrough_silent_corruption_closes_the_partition() {
     let run = simulate_traced_opts(&case, &AcceleratorConfig::cpu_iso_bandwidth(), &opts).unwrap();
     let snap = MetricsSnapshot::parse(&run.metrics.to_json_string()).unwrap();
     let report = BottleneckReport::build(&snap, None);
-    let sdc: u64 = report.resilience.iter().map(|(_, f)| f.sdc).sum();
+    let sdc: u64 = report.faults.iter().map(|(_, f)| f.sdc).sum();
     assert!(
         sdc > 0,
         "pass-through run recorded no sdc: {:?}",
-        report.resilience
+        report.faults
     );
     let md = report.to_markdown(4);
     let line = md

@@ -36,6 +36,8 @@
 //! [`RecoverySummary::energy`]: crate::stats::RecoverySummary::energy
 
 use crate::stats::{EnergyCharge, SimReport, TileCounters};
+use gnna_mem::MemStats;
+use gnna_noc::link_energy;
 use gnna_telemetry::energy::{CostClass, EnergyRates};
 use std::fmt;
 
@@ -154,17 +156,20 @@ impl EnergyModel {
     }
 
     /// Every energy charge a report implies: each tile's
-    /// [`TileCounters::energy`], the DRAM line bytes (alignment waste
-    /// burns energy too, the paper's §II complaint), the NoC byte-hops
-    /// (`noc_flit_bytes` per flit-hop: 64 in Table IV, narrower in
-    /// crossbar-width ablations) and the checkpoint traffic (all zeros
-    /// outside rollback).
+    /// [`TileCounters::energy`], the DRAM traffic of all controllers
+    /// ([`MemStats::energy`]), the NoC traffic of all links
+    /// ([`link_energy`]: `noc_flit_bytes` per flit-hop, 64 in Table IV,
+    /// narrower in crossbar-width ablations) and the checkpoint traffic
+    /// (all zeros outside rollback).
     fn charges(report: &SimReport) -> impl Iterator<Item = EnergyCharge> + '_ {
-        let byte_hops = report.noc_flit_hops * report.noc_flit_bytes;
-        let dram = ("dram", CostClass::DramByte, report.dram_bytes);
+        let mem = MemStats {
+            dram_bytes: report.dram_bytes,
+            ..MemStats::default()
+        };
+        let noc = link_energy(report.noc_flit_hops, report.noc_flit_bytes);
         let per_tile = report.per_tile.iter().flat_map(TileCounters::energy);
         per_tile
-            .chain([dram, ("noc", CostClass::NocByteHop, byte_hops)])
+            .chain([mem.energy(), noc])
             .chain(report.recovery.energy())
     }
 

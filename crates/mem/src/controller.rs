@@ -2,7 +2,7 @@ use crate::MemImage;
 use gnna_faults::{
     ecc, EccDomain, FaultCounters, FaultPlan, FaultSite, RecoveryMode, SiteInjector, StuckLineModel,
 };
-use gnna_telemetry::ModuleProbe;
+use gnna_telemetry::{CostClass, EnergyCharge, KeyFamily, ModuleProbe};
 use std::collections::VecDeque;
 use std::fmt;
 
@@ -141,7 +141,28 @@ pub struct MemStats {
     pub rejected: u64,
 }
 
+/// Controller `i`'s counters, `mem{i}.{name}` over [`MemStats::fields`]
+/// and `mem{i}.`[`EFFICIENCY`].
+pub const STATS_KEYS: KeyFamily = KeyFamily::new("mem", ".");
+
+/// Name of a controller's efficiency gauge ([`MemStats::efficiency`]).
+pub const EFFICIENCY: &str = "efficiency";
+
+/// Controller `i`'s DRAM energy, `mem.energy.ctrl{i}_pj`.
+pub const ENERGY_KEYS: KeyFamily = KeyFamily::new("mem.energy.ctrl", "_pj");
+
+/// Ledger site of DRAM traffic energy.
+pub const DRAM_ENERGY_SITE: &str = "dram";
+
 impl MemStats {
+    /// The energy charge of this DRAM traffic: every occupied line byte,
+    /// since alignment waste burns energy too (the paper's §II
+    /// complaint). The energy ledger charges it per controller, the
+    /// aggregate model over all of them.
+    pub fn energy(&self) -> EnergyCharge {
+        (DRAM_ENERGY_SITE, CostClass::DramByte, self.dram_bytes)
+    }
+
     /// Every counter as `(metric suffix, slot)`: the one name list of the
     /// `memN.{suffix}` family, shared by the exporter, the report parser
     /// and [`MemStats::merge`].

@@ -22,5 +22,6 @@ mod image;
 
 pub use controller::{
     MemConfig, MemFaultState, MemRequest, MemRequestKind, MemResponse, MemStats, MemoryController,
+    DRAM_ENERGY_SITE, EFFICIENCY, ENERGY_KEYS, STATS_KEYS,
 };
 pub use image::MemImage;

@@ -1,6 +1,9 @@
 use crate::arena::{BufFlit, FlitRef, LinkFlit, PacketSlab};
 use crate::router::{opposite, xy_route, EAST, LOCAL_BASE, NORTH, SOUTH, WEST};
-use crate::{Address, Flit, NetworkStats, NocConfig, Packet, PacketKind};
+use crate::{
+    link_id, Address, Flit, NetworkStats, NocConfig, Packet, PacketKind, LINK_BUSY_KEYS,
+    PACKET_HOPS_KEY, PACKET_LATENCY_KEY,
+};
 use gnna_faults::{
     crc, CrcDomain, DeadLink, FaultCounters, FaultPlan, FaultSite, RecoveryMode, SiteInjector,
 };
@@ -667,20 +670,15 @@ impl<T> Network<T> {
                 if !self.out_connected[base + d] {
                     continue;
                 }
-                reg.counter_set(
-                    &format!(
-                        "noc.link.{}_{}.{}.busy_cycles",
-                        self.coord_x[r], self.coord_y[r], DIR_NAMES[d]
-                    ),
-                    tele.link_busy[r][d],
-                );
+                let link = link_id(self.coord_x[r], self.coord_y[r], DIR_NAMES[d]);
+                reg.counter_set(&LINK_BUSY_KEYS.key(link), tele.link_busy[r][d]);
             }
         }
         if tele.latency.count > 0 {
-            reg.histogram_set("noc.packet_latency", tele.latency);
+            reg.histogram_set(PACKET_LATENCY_KEY, tele.latency);
         }
         if tele.hop_hist.count > 0 {
-            reg.histogram_set("noc.packet_hops", tele.hop_hist);
+            reg.histogram_set(PACKET_HOPS_KEY, tele.hop_hist);
         }
     }
 

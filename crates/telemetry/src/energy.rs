@@ -37,6 +37,11 @@ use std::fmt;
 /// Femtojoules per picojoule (the ledger's internal scale factor).
 pub const FJ_PER_PJ: u64 = 1000;
 
+/// One energy charge: `(site, cost class, event count)`. The crate that
+/// counts the events declares the charge; the ledger, the aggregate
+/// energy model and the report all read that one declaration.
+pub type EnergyCharge = (&'static str, CostClass, u64);
+
 /// Class of countable micro-architectural event that a per-event energy
 /// cost attaches to.
 ///

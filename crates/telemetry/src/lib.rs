@@ -40,7 +40,7 @@ pub mod metrics;
 pub mod profile;
 pub mod trace;
 
-pub use energy::{apportion_pj, CostClass, EnergyLedger, EnergyRates};
-pub use metrics::{HistogramSummary, Metric, MetricsRegistry};
+pub use energy::{apportion_pj, CostClass, EnergyCharge, EnergyLedger, EnergyRates};
+pub use metrics::{HistogramSummary, KeyFamily, Metric, MetricsRegistry, HISTOGRAM_FIELDS};
 pub use profile::{scope, shared_profiler, HostProfiler, HotPhase, PhaseTimer, SharedProfiler};
 pub use trace::{shared, ModuleProbe, SharedTracer, TraceLevel, Tracer, TrackId};

@@ -7,7 +7,61 @@
 //! means a plain sort groups all metrics of one module together in the CSV.
 
 use std::collections::BTreeMap;
+use std::fmt;
 use std::io::{self, Write};
+
+/// A family of metric keys `{prefix}{id}{suffix}`, declared once by the
+/// crate that writes it. The writer builds every key through the family
+/// and readers (`gnna-report`) parse keys back through it, so no key is
+/// spelled twice. A family whose suffix ends in `.` is a scope: its
+/// members carry a trailing field name ([`KeyFamily::member`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct KeyFamily {
+    prefix: &'static str,
+    suffix: &'static str,
+}
+
+impl KeyFamily {
+    /// The family `{prefix}{id}{suffix}`.
+    pub const fn new(prefix: &'static str, suffix: &'static str) -> Self {
+        Self { prefix, suffix }
+    }
+
+    /// The key of member `id`.
+    pub fn key(&self, id: impl fmt::Display) -> String {
+        format!("{}{id}{}", self.prefix, self.suffix)
+    }
+
+    /// The key of field `name` of scope member `id`.
+    pub fn member(&self, id: impl fmt::Display, name: &str) -> String {
+        self.key(id) + name
+    }
+
+    /// The name of member `id` without the suffix (a scope's own name,
+    /// e.g. `tile3`).
+    pub fn scope(&self, id: impl fmt::Display) -> String {
+        format!("{}{id}", self.prefix)
+    }
+
+    /// The member id of `key`, when `key` belongs to the family.
+    pub fn id<'a>(&self, key: &'a str) -> Option<&'a str> {
+        key.strip_prefix(self.prefix)?.strip_suffix(self.suffix)
+    }
+
+    /// Splits a scope member's key into `(id, field)` at the first
+    /// suffix after the prefix.
+    pub fn split<'a>(&self, key: &'a str) -> Option<(&'a str, &'a str)> {
+        let rest = key.strip_prefix(self.prefix)?;
+        let at = rest.find(self.suffix)?;
+        Some((&rest[..at], &rest[at + self.suffix.len()..]))
+    }
+}
+
+/// The summary fields every serialized histogram carries, in order: the
+/// JSON object keys and the CSV columns after `value`.
+pub const HISTOGRAM_FIELDS: [&str; 9] = [
+    "count", "sum", "min", "max", "mean", "p50", "p95", "p99", "p999",
+];
 
 /// Number of log₂ buckets kept by [`HistogramSummary`]. Bucket 0 covers
 /// `[0, 1)`; bucket `k >= 1` covers `[2^(k-1), 2^k)`, so 64 buckets span the
@@ -136,6 +190,22 @@ impl HistogramSummary {
 
     pub fn p999(&self) -> f64 {
         self.quantile(0.999)
+    }
+
+    /// The serialized summary, one value per [`HISTOGRAM_FIELDS`] entry.
+    pub fn summary(&self) -> [String; 9] {
+        let n = crate::json::number;
+        [
+            self.count.to_string(),
+            n(self.sum),
+            n(self.min),
+            n(self.max),
+            n(self.mean()),
+            n(self.p50()),
+            n(self.p95()),
+            n(self.p99()),
+            n(self.p999()),
+        ]
     }
 }
 
@@ -291,19 +361,14 @@ impl MetricsRegistry {
             match metric {
                 Metric::Counter(v) => write!(w, "\"{key}\":{v}")?,
                 Metric::Gauge(v) => write!(w, "\"{key}\":{}", crate::json::number(*v))?,
-                Metric::Histogram(h) => write!(
-                    w,
-                    "\"{key}\":{{\"count\":{},\"sum\":{},\"min\":{},\"max\":{},\"mean\":{},\"p50\":{},\"p95\":{},\"p99\":{},\"p999\":{}}}",
-                    h.count,
-                    crate::json::number(h.sum),
-                    crate::json::number(h.min),
-                    crate::json::number(h.max),
-                    crate::json::number(h.mean()),
-                    crate::json::number(h.p50()),
-                    crate::json::number(h.p95()),
-                    crate::json::number(h.p99()),
-                    crate::json::number(h.p999())
-                )?,
+                Metric::Histogram(h) => {
+                    let fields: Vec<String> = HISTOGRAM_FIELDS
+                        .iter()
+                        .zip(h.summary())
+                        .map(|(name, v)| format!("\"{name}\":{v}"))
+                        .collect();
+                    write!(w, "\"{key}\":{{{}}}", fields.join(","))?
+                }
             }
         }
         w.write_all(b"}")?;
@@ -321,29 +386,14 @@ impl MetricsRegistry {
     /// Counters/gauges fill `value`; histograms fill the summary + quantile
     /// columns.
     pub fn write_csv<W: Write>(&self, w: &mut W) -> io::Result<()> {
-        writeln!(
-            w,
-            "metric,kind,value,count,sum,min,max,mean,p50,p95,p99,p999"
-        )?;
+        writeln!(w, "metric,kind,value,{}", HISTOGRAM_FIELDS.join(","))?;
         for (name, metric) in &self.metrics {
             match metric {
                 Metric::Counter(v) => writeln!(w, "{name},counter,{v},,,,,,,,,")?,
                 Metric::Gauge(v) => {
                     writeln!(w, "{name},gauge,{},,,,,,,,,", crate::json::number(*v))?
                 }
-                Metric::Histogram(h) => writeln!(
-                    w,
-                    "{name},histogram,,{},{},{},{},{},{},{},{},{}",
-                    h.count,
-                    crate::json::number(h.sum),
-                    crate::json::number(h.min),
-                    crate::json::number(h.max),
-                    crate::json::number(h.mean()),
-                    crate::json::number(h.p50()),
-                    crate::json::number(h.p95()),
-                    crate::json::number(h.p99()),
-                    crate::json::number(h.p999())
-                )?,
+                Metric::Histogram(h) => writeln!(w, "{name},histogram,,{}", h.summary().join(","))?,
             }
         }
         Ok(())
