@@ -31,7 +31,11 @@
 //! `TraceLevel::Event` and pinned in `tests/golden/sim_metrics_event.txt`.
 //! Only an event-level harvest carries the energy ledger
 //! (`*.energy.*_pj`), the per-link busy counters and the NoC latency/hop
-//! histograms, so this second file is what pins those keys.
+//! histograms, so this second file is what pins those keys. The same
+//! event-level runs also pin their Chrome-trace bytes
+//! (`Tracer::to_chrome_json_string`) in `tests/golden/sim_traces.txt`,
+//! so a change that moves, drops or reorders a trace event shows even
+//! when every counter stays the same.
 //!
 //! Degraded mode notes: on GPU iso-BW the permanent fault is a dead mesh
 //! link at (0,0)→East, exercising the BFS detour tables. The CPU iso-BW
@@ -79,6 +83,9 @@ const GOLDEN: &str = include_str!("golden/sim_metrics.txt");
 /// Committed digests of the event-level corpus (the 26 cells plus the
 /// rollback run).
 const GOLDEN_EVENT: &str = include_str!("golden/sim_metrics_event.txt");
+
+/// Committed digests of the same event-level runs' Chrome-trace JSON.
+const GOLDEN_TRACES: &str = include_str!("golden/sim_traces.txt");
 
 fn config_for(name: &str) -> AcceleratorConfig {
     match name {
@@ -196,13 +203,15 @@ fn fnv1a(bytes: impl IntoIterator<Item = u8>, seed: u64) -> u64 {
 
 const FNV_OFFSET: u64 = 0xCBF2_9CE4_8422_2325;
 
-/// One finished corpus cell: its report, its harvested registry and the
-/// digest over the registry CSV and the output-matrix bits.
+/// One finished corpus cell: its report, its harvested registry, the
+/// digest over the registry CSV and the output-matrix bits, and the
+/// digest of its Chrome-trace JSON when it was traced.
 struct Cell {
     name: String,
     report: SimReport,
     reg: MetricsRegistry,
     digest: u64,
+    trace: Option<u64>,
 }
 
 /// Runs one corpus cell to completion, untraced.
@@ -224,11 +233,15 @@ fn run_traced(model: &str, config: &str, mode: &str, level: TraceLevel) -> Cell 
     for v in sys.full_output().into_vec() {
         digest = fnv1a(v.to_bits().to_le_bytes(), digest);
     }
+    let trace = sys
+        .tracer()
+        .map(|t| fnv1a(t.borrow().to_chrome_json_string().bytes(), FNV_OFFSET));
     Cell {
         name: format!("{model}:{config}:{mode}"),
         report,
         reg,
         digest,
+        trace,
     }
 }
 
@@ -292,11 +305,12 @@ fn parse_golden(golden: &str) -> Vec<(String, u64)> {
 /// mismatch the failure lists every diverging cell (not just the first)
 /// so an optimisation that perturbs one fault mode or one model is
 /// visible at a glance.
-fn check_golden(golden: &str, file: &str, what: &str, computed: &[(String, u64)]) {
+/// `header` is the two comment lines saying what the digests hash.
+fn check_golden(golden: &str, file: &str, header: [&str; 2], computed: &[(String, u64)]) {
     if std::env::var("GNNA_BLESS_GOLDENS").is_ok_and(|v| v == "1") {
         let mut lines = vec![
-            "# Simulator bit-identity digests: FNV-1a-64 over the harvested".to_string(),
-            format!("# metrics CSV{what} + output-matrix bits, one line per corpus cell."),
+            header[0].to_string(),
+            header[1].to_string(),
             "# Regenerate with: GNNA_BLESS_GOLDENS=1 cargo test --test goldens".to_string(),
         ];
         lines.extend(computed.iter().map(|(name, d)| format!("{name} {d:016x}")));
@@ -320,24 +334,33 @@ fn check_golden(golden: &str, file: &str, what: &str, computed: &[(String, u64)]
         .collect();
     assert!(
         mismatches.is_empty(),
-        "metrics digests diverged from {file} \
+        "digests diverged from {file} \
          (GNNA_BLESS_GOLDENS=1 re-blesses after an intentional change):\n{}",
         mismatches.join("\n")
     );
 }
 
-fn digests(cells: Vec<Cell>) -> Vec<(String, u64)> {
-    cells.into_iter().map(|c| (c.name, c.digest)).collect()
+fn digests(cells: &[Cell]) -> Vec<(String, u64)> {
+    cells.iter().map(|c| (c.name.clone(), c.digest)).collect()
 }
 
 /// The full 26-cell corpus: every digest must match the committed file.
 #[test]
 fn sim_metrics_digests_match_golden_corpus() {
-    check_golden(GOLDEN, "sim_metrics.txt", "", &digests(corpus()));
+    check_golden(
+        GOLDEN,
+        "sim_metrics.txt",
+        [
+            "# Simulator bit-identity digests: FNV-1a-64 over the harvested",
+            "# metrics CSV + output-matrix bits, one line per corpus cell.",
+        ],
+        &digests(&corpus()),
+    );
 }
 
 /// The same matrix plus the rollback run at event level, where the
-/// harvest adds the energy ledger, per-link counters and histograms.
+/// harvest adds the energy ledger, per-link counters and histograms,
+/// and the Chrome trace of each run is pinned byte for byte.
 #[test]
 fn event_level_digests_match_golden_corpus() {
     let mut cells = corpus_at(TraceLevel::Event);
@@ -345,8 +368,24 @@ fn event_level_digests_match_golden_corpus() {
     check_golden(
         GOLDEN_EVENT,
         "sim_metrics_event.txt",
-        " (event-level trace)",
-        &digests(cells),
+        [
+            "# Simulator bit-identity digests: FNV-1a-64 over the harvested",
+            "# metrics CSV (event-level trace) + output-matrix bits, one line per corpus cell.",
+        ],
+        &digests(&cells),
+    );
+    let traces: Vec<(String, u64)> = cells
+        .iter()
+        .filter_map(|c| Some((c.name.clone(), c.trace?)))
+        .collect();
+    check_golden(
+        GOLDEN_TRACES,
+        "sim_traces.txt",
+        [
+            "# Simulator trace digests: FNV-1a-64 over the Chrome-trace JSON",
+            "# of the event-level runs, one line per corpus cell.",
+        ],
+        &traces,
     );
 }
 
