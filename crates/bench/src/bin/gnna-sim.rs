@@ -17,6 +17,7 @@ use gnna_faults::{CrcDomain, EccDomain, FaultPlan, PhysicalRates, RecoveryMode};
 use gnna_graph::datasets;
 use gnna_models::ModelKind;
 use gnna_telemetry::{Metric, MetricsRegistry, TraceLevel};
+use std::cell::RefCell;
 use std::process::ExitCode;
 
 struct Args {
@@ -485,8 +486,7 @@ fn main() -> ExitCode {
         }
         println!("metrics: {} ({} series)", path, run.metrics.len());
     }
-    if let Some(profiler) = &run.profiler {
-        let prof = profiler.borrow();
+    if let Some(prof) = run.profiler.map(RefCell::into_inner) {
         if let Some(path) = &args.profile_out {
             if let Err(e) = std::fs::write(path, prof.collapsed()) {
                 eprintln!("error: cannot write profile {path}: {e}");

@@ -21,7 +21,8 @@ use gnna_core::system::System;
 pub use gnna_core::system::TraceOptions;
 use gnna_graph::{datasets, Dataset};
 use gnna_models::{Gat, Gcn, GcnNorm, ModelKind, Mpnn, Pgnn};
-use gnna_telemetry::{MetricsRegistry, SharedProfiler, SharedTracer};
+use gnna_telemetry::{HostProfiler, MetricsRegistry, SharedTracer};
+use std::cell::RefCell;
 use std::error::Error;
 
 /// A boxed error for harness code.
@@ -166,9 +167,11 @@ pub struct TracedRun {
     pub metrics: MetricsRegistry,
     /// The host-phase profiler (`Some` only when
     /// [`TraceOptions::profile_sample_every`] asked for one); use
-    /// [`HostProfiler::collapsed`](gnna_telemetry::HostProfiler::collapsed)
-    /// for the flamegraph export.
-    pub profiler: Option<SharedProfiler>,
+    /// [`HostProfiler::collapsed`] for the flamegraph export. It sits in
+    /// a `RefCell` only so that callers written for the shared handle it
+    /// replaced, which `.borrow()` it (the `gnna-perf` benchmark), still
+    /// compile; nothing else holds it.
+    pub profiler: Option<RefCell<HostProfiler>>,
 }
 
 /// Simulates `case` on `config` with the instruments `opts` asks for
@@ -192,7 +195,7 @@ pub fn simulate_traced_opts(
         report,
         tracer: sys.tracer().cloned(),
         metrics,
-        profiler: sys.profiler().cloned(),
+        profiler: sys.take_profiler().map(RefCell::new),
     })
 }
 

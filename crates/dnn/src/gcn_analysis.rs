@@ -140,11 +140,6 @@ impl GcnAccelReport {
             useful as f64 / total as f64
         }
     }
-
-    /// Total DRAM traffic in bytes.
-    pub fn total_dram_bytes(&self) -> u64 {
-        self.layers.iter().map(|l| l.mapping.dram_bytes()).sum()
-    }
 }
 
 impl fmt::Display for GcnAccelReport {

@@ -385,6 +385,13 @@ impl MemoryController {
         self.probe = Some(probe);
     }
 
+    /// Samples the request-queue depth on the probe's counter track.
+    pub fn sample_counters(&self) {
+        if let Some(p) = &self.probe {
+            p.counter("queue_depth", self.queue_len() as f64);
+        }
+    }
+
     /// Attaches seeded DRAM-fault injection with the SECDED protection
     /// model. Read requests may then suffer single-bit flips (corrected
     /// inline; data stays bit-exact) or double-bit flips (detected,

@@ -349,14 +349,6 @@ impl Mpnn {
         let per_step = m * self.message.macs_per_edge(self.hidden) + n * self.gru.macs_per_row();
         embed + self.steps as u64 * per_step + self.readout.macs_per_row()
     }
-
-    /// Total MACs over a collection of graph instances.
-    pub fn dataset_macs(&self, instances: &[GraphInstance]) -> u64 {
-        instances
-            .iter()
-            .map(|i| self.inference_macs(&i.graph))
-            .sum()
-    }
 }
 
 #[cfg(test)]

@@ -619,11 +619,6 @@ impl<T> Network<T> {
         tele.router_probes = probes;
     }
 
-    /// Whether deep telemetry is attached.
-    pub fn has_probe(&self) -> bool {
-        self.telemetry.is_some()
-    }
-
     /// Emits one windowed link-utilisation counter per mesh direction on
     /// every router probe: the fraction of the last `window` cycles each
     /// outgoing link spent busy. No-op when router probes are not attached.
@@ -648,6 +643,15 @@ impl<T> Network<T> {
                     delta as f64 / window as f64,
                 );
             }
+        }
+    }
+
+    /// Samples the flits in flight on the mesh probe's counter track.
+    /// No-op when telemetry is not attached.
+    pub fn sample_inflight(&self) {
+        if let Some(t) = &self.telemetry {
+            t.probe
+                .counter("inflight_flits", self.inflight_flits as f64);
         }
     }
 

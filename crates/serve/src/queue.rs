@@ -388,11 +388,6 @@ impl Scheduler {
         self.depth as u64 * self.service_est_us
     }
 
-    /// The current EWMA per-job service estimate, microseconds.
-    pub fn service_estimate_us(&self) -> u64 {
-        self.service_est_us
-    }
-
     /// Folds one measured per-job service time into the EWMA (α = ¼).
     pub fn note_service(&mut self, per_job_us: u64) {
         self.service_est_us = (self.service_est_us * 3 + per_job_us.max(1)) / 4;

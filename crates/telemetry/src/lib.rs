@@ -17,8 +17,8 @@
 //!   export that keeps `*.energy.*_pj` counters summing to the total
 //!   exactly (the conservation invariant).
 //! - [`profile`] — a host-phase [`HostProfiler`](profile::HostProfiler):
-//!   scoped [`PhaseTimer`](profile::PhaseTimer) guards plus sampled
-//!   cycle-loop laps measuring where *wall-clock* time goes, exported as
+//!   scoped phases plus sampled cycle-loop laps measuring where
+//!   *wall-clock* time goes, exported as
 //!   a collapsed-stack file (flamegraph input) and `host.profile.*`
 //!   metrics.
 //! - [`json`] — the std-only JSON writer/parser backing both, exposed so
@@ -42,5 +42,5 @@ pub mod trace;
 
 pub use energy::{apportion_pj, CostClass, EnergyCharge, EnergyLedger, EnergyRates};
 pub use metrics::{HistogramSummary, KeyFamily, Metric, MetricsRegistry, HISTOGRAM_FIELDS};
-pub use profile::{scope, shared_profiler, HostProfiler, HotPhase, PhaseTimer, SharedProfiler};
+pub use profile::{HostProfiler, HotPhase};
 pub use trace::{shared, ModuleProbe, SharedTracer, TraceLevel, Tracer, TrackId};

@@ -29,16 +29,6 @@ pub fn sigmoid(x: f32) -> f32 {
     1.0 / (1.0 + (-x).exp())
 }
 
-/// Applies [`relu`] to every element of a matrix, in place.
-pub fn relu_inplace(m: &mut Matrix) {
-    m.map_inplace(relu);
-}
-
-/// Applies [`leaky_relu`] to every element of a matrix, in place.
-pub fn leaky_relu_inplace(m: &mut Matrix) {
-    m.map_inplace(leaky_relu);
-}
-
 /// Row-wise softmax, in place.
 ///
 /// Uses the numerically stable max-subtraction formulation. Rows of zero
