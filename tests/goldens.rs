@@ -27,7 +27,7 @@
 //! registry carries every `SimReport` counter — the agreement test below
 //! proves it — so there is nowhere for a behaviour change to hide.
 //!
-//! The same 26 cells plus one rollback run are also run at
+//! The same 26 cells plus two rollback runs are also run at
 //! `TraceLevel::Event` and pinned in `tests/golden/sim_metrics_event.txt`.
 //! Only an event-level harvest carries the energy ledger
 //! (`*.energy.*_pj`), the per-link busy counters and the NoC latency/hop
@@ -81,7 +81,7 @@ const SMOKE_MODEL_SEED: u64 = 0xD0C5;
 const GOLDEN: &str = include_str!("golden/sim_metrics.txt");
 
 /// Committed digests of the event-level corpus (the 26 cells plus the
-/// rollback run).
+/// two rollback runs).
 const GOLDEN_EVENT: &str = include_str!("golden/sim_metrics_event.txt");
 
 /// Committed digests of the same event-level runs' Chrome-trace JSON.
@@ -186,6 +186,8 @@ fn plan_for(mode: &str, config: &str) -> Option<FaultPlan> {
         } else {
             FaultPlan::new(5).with_mem_stuck_rate(0.002)
         }),
+        "rollback" => Some(rollback_plan(3)),
+        "rollback-replay" => Some(rollback_plan(5)),
         other => panic!("unknown mode {other}"),
     }
 }
@@ -221,10 +223,7 @@ fn run_cell(model: &str, config: &str, mode: &str) -> Cell {
 
 /// Runs one corpus cell to completion at `level`.
 fn run_traced(model: &str, config: &str, mode: &str, level: TraceLevel) -> Cell {
-    let plan = match mode {
-        "rollback" => Some(rollback_plan()),
-        _ => plan_for(mode, config),
-    };
+    let plan = plan_for(mode, config);
     let mut sys = system_for(model, &config_for(config), plan, level);
     let report = sys.run().unwrap();
     let mut reg = MetricsRegistry::new();
@@ -268,11 +267,13 @@ fn corpus() -> Vec<Cell> {
     corpus_at(TraceLevel::Off)
 }
 
-/// A GCN rollback plan whose double-bit DRAM faults exhaust a one-re-read
-/// budget often enough to take checkpoints and roll back. No corpus cell
-/// reaches the `system.recovery.*` family or the checkpoint energy site.
-fn rollback_plan() -> FaultPlan {
-    FaultPlan::new(3)
+/// A GCN rollback plan at `seed`: double-bit DRAM faults against a
+/// one-re-read budget. No corpus cell reaches the `system.recovery.*`
+/// family or the checkpoint energy site. On the `gcn` cell on GPU iso-BW,
+/// seed 3 takes 3 checkpoints and never rolls back; seed 5 exhausts the
+/// budget, takes 3 checkpoints and 3 rollbacks, and replays 2540 cycles.
+fn rollback_plan(seed: u64) -> FaultPlan {
+    FaultPlan::new(seed)
         .with_mem_rate(0.05)
         .with_double_bit_fraction(0.5)
         .with_mem_retry_budget(1)
@@ -280,10 +281,23 @@ fn rollback_plan() -> FaultPlan {
         .with_rollback_budget(64)
 }
 
-/// The rollback run traced at `level`.
-fn rollback_cell(level: TraceLevel) -> Cell {
+/// The seed-3 rollback run traced at `level`: it checkpoints, but never
+/// rolls back.
+fn checkpoint_cell(level: TraceLevel) -> Cell {
     let cell = run_traced("gcn", "gpu-iso", "rollback", level);
     assert!(cell.report.recovery.any(), "rollback plan recorded nothing");
+    cell
+}
+
+/// The seed-5 rollback run traced at `level`: it rolls back and replays,
+/// so `try_rollback`, the replay and the restore traffic are pinned.
+fn rollback_cell(level: TraceLevel) -> Cell {
+    let cell = run_traced("gcn", "gpu-iso", "rollback-replay", level);
+    let rec = cell.report.recovery;
+    assert!(
+        rec.rollbacks > 0,
+        "rollback plan never rolled back: {rec:?}"
+    );
     cell
 }
 
@@ -358,12 +372,13 @@ fn sim_metrics_digests_match_golden_corpus() {
     );
 }
 
-/// The same matrix plus the rollback run at event level, where the
+/// The same matrix plus the rollback runs at event level, where the
 /// harvest adds the energy ledger, per-link counters and histograms,
 /// and the Chrome trace of each run is pinned byte for byte.
 #[test]
 fn event_level_digests_match_golden_corpus() {
     let mut cells = corpus_at(TraceLevel::Event);
+    cells.push(checkpoint_cell(TraceLevel::Event));
     cells.push(rollback_cell(TraceLevel::Event));
     check_golden(
         GOLDEN_EVENT,
@@ -520,20 +535,35 @@ fn report_fields_agree_with_harvested_metrics() {
 /// per-site `*.energy.*_pj` counters, the per-layer
 /// `system.energy.layer{k}_pj` counters and the report's class counts ×
 /// rates each come to both the registry total and
-/// `EnergyModel::total_pj` of the report.
+/// `EnergyModel::total_pj` of the report. The run that rolls back also
+/// charges restore traffic, so both runs are checked.
 #[test]
 fn rollback_report_agrees_with_harvested_metrics() {
+    for cell in [
+        checkpoint_cell(TraceLevel::Event),
+        rollback_cell(TraceLevel::Event),
+    ] {
+        energy_oracle(cell);
+    }
+}
+
+/// The agreement and energy checks of one rollback run.
+fn energy_oracle(cell: Cell) {
     let Cell {
         name, report, reg, ..
-    } = rollback_cell(TraceLevel::Event);
+    } = cell;
     assert_report_matches_registry(&name, &report, &reg);
     let model = EnergyModel::default();
     let total = counter(&reg, "system.energy.total_pj");
-    assert_eq!(total, model.total_pj(&report), "registry vs report total");
+    assert_eq!(
+        total,
+        model.total_pj(&report),
+        "{name}: registry vs report total"
+    );
     assert!(
         reg.get_counter("system.energy.checkpoint_pj")
             .is_some_and(|pj| pj > 0),
-        "rollback run charged no checkpoint energy"
+        "{name} charged no checkpoint energy"
     );
     let sum = |keep: &dyn Fn(&str) -> bool| -> u64 {
         reg.iter()
@@ -551,16 +581,16 @@ fn rollback_report_agrees_with_harvested_metrics() {
             && !is_layer(n)
             && n != "system.energy.total_pj"
     });
-    assert_eq!(sites, total, "site counters vs total");
+    assert_eq!(sites, total, "{name}: site counters vs total");
     let layers = sum(&is_layer);
-    assert_eq!(layers, total, "layer counters vs total");
+    assert_eq!(layers, total, "{name}: layer counters vs total");
     let rates = model.rates();
     let counts = EnergyModel::class_counts(&report);
     let fj: u64 = CostClass::ALL
         .iter()
         .map(|&c| rates.charge_fj(c, counts[c.index()]))
         .sum();
-    assert_eq!(fj / 1000, total, "class counts x rates vs total");
+    assert_eq!(fj / 1000, total, "{name}: class counts x rates vs total");
 }
 
 /// Replaying a faulted cell twice in-process produces the same digest:
