@@ -179,13 +179,13 @@ proptest! {
     #[test]
     fn report_parsers_return_a_result_on_any_input(doc in document()) {
         if let Ok(snap) = MetricsSnapshot::parse(&doc) {
-            let report = BottleneckReport::build(&snap, None);
-            let _ = report.to_markdown(8);
+            let report = BottleneckReport::build(&snap, None, 8);
+            let _ = report.to_markdown();
             let _ = report.to_csv();
         }
         let _ = parse_trace_json(&doc);
         if let Ok(records) = parse_campaign_jsonl(&doc) {
-            let report = CampaignReport::build(records);
+            let report = CampaignReport::build(&records);
             let _ = report.to_markdown();
             let _ = report.to_csv();
         }
