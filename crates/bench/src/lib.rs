@@ -221,11 +221,6 @@ pub fn speedup(baseline: &MeasuredLatency, report: &SimReport, vs_gpu: bool) -> 
     base / report.latency_s()
 }
 
-/// Formats a markdown-ish table row.
-pub fn row(cells: &[String]) -> String {
-    format!("| {} |", cells.join(" | "))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
