@@ -1,5 +1,4 @@
 use crate::{Flit, Packet};
-use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Collects flits at an endpoint and yields the packet when its tail
@@ -9,6 +8,10 @@ use std::sync::Arc;
 /// but a module that serves several aggregations (like the AGG) may want
 /// explicit per-packet accounting; the reassembler handles either case and
 /// checks sequence consistency.
+///
+/// The in-progress packets sit in a short list searched linearly: an
+/// endpoint of the wormhole mesh has at most a few partial packets at a
+/// time, so a scan beats hashing the id of every flit.
 ///
 /// # Example
 ///
@@ -24,7 +27,8 @@ use std::sync::Arc;
 /// ```
 #[derive(Debug, Default)]
 pub struct Reassembler<T> {
-    in_progress: HashMap<u64, u32>,
+    /// `(packet id, flits received)` of each partially received packet.
+    in_progress: Vec<(u64, u32)>,
     _marker: std::marker::PhantomData<T>,
 }
 
@@ -32,7 +36,7 @@ impl<T> Reassembler<T> {
     /// Creates an empty reassembler.
     pub fn new() -> Self {
         Reassembler {
-            in_progress: HashMap::new(),
+            in_progress: Vec::new(),
             _marker: std::marker::PhantomData,
         }
     }
@@ -50,17 +54,24 @@ impl<T> Reassembler<T> {
     /// network never produces).
     pub fn push(&mut self, flit: Flit<T>) -> Option<Arc<Packet<T>>> {
         let id = flit.packet.id;
-        let received = self.in_progress.entry(id).or_insert(0);
+        let at = self.in_progress.iter().position(|&(p, _)| p == id);
+        let received = at.map_or(0, |k| self.in_progress[k].1);
         assert_eq!(
-            *received, flit.seq,
+            received, flit.seq,
             "flit {} of packet {id} arrived out of order (expected {received})",
             flit.seq
         );
-        *received += 1;
-        if *received == flit.num_flits {
-            self.in_progress.remove(&id);
+        let received = received + 1;
+        if received == flit.num_flits {
+            if let Some(k) = at {
+                self.in_progress.swap_remove(k);
+            }
             Some(flit.packet)
         } else {
+            match at {
+                Some(k) => self.in_progress[k].1 = received,
+                None => self.in_progress.push((id, received)),
+            }
             None
         }
     }

@@ -43,8 +43,75 @@ fn drain_all(net: &mut Network<usize>, w: usize, h: usize) -> u64 {
     tails
 }
 
+/// Asserts that every node's waiting count is the sum of its ports'
+/// ejection queues, and zero when the mesh is idle.
+fn check_waiting(net: &Network<usize>, w: usize, h: usize) {
+    for y in 0..h {
+        for x in 0..w {
+            let ports: usize = (0..2)
+                .map(|p| net.ejection_pending(Address::new(x, y, p)))
+                .sum();
+            assert_eq!(net.node_ejection_pending(x, y), ports, "node ({x},{y})");
+            if net.is_idle() {
+                assert_eq!(ports, 0, "idle mesh holds flits at ({x},{y})");
+            }
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The per-node waiting count an endpoint sweep reads to skip a node
+    /// is, every cycle, the sum of that node's per-port ejection queues:
+    /// while flits pile up (ports drained one flit every `drain_every`
+    /// cycles), as they drain, once the mesh is idle, and after
+    /// `reset_for_replay` drops whatever was in flight at `reset_at`.
+    #[test]
+    fn node_waiting_count_is_the_sum_of_its_ports(
+        t in traffic_strategy(),
+        drain_every in 1..=4u64,
+        reset_at in 0..120u64,
+    ) {
+        let (w, h) = (t.width, t.height);
+        let mut net: Network<usize> = Network::new(NocConfig::default(), w, h, |_, _| 2);
+        let mut pending: Vec<_> = t.packets.iter().enumerate()
+            .map(|(i, &(s, d, b))| Packet::new(s, d, b, i))
+            .collect();
+        let mut reset = false;
+        for cycle in 0..20_000u64 {
+            pending.retain_mut(|p| {
+                let pkt = std::mem::replace(p, Packet::new(p.src, p.dst, p.size_bytes, p.payload));
+                net.try_inject(pkt).is_err()
+            });
+            net.step();
+            check_waiting(&net, w, h);
+            if cycle % drain_every == 0 {
+                for y in 0..h {
+                    for x in 0..w {
+                        for p in 0..2 {
+                            let _ = net.eject(Address::new(x, y, p));
+                        }
+                    }
+                }
+                check_waiting(&net, w, h);
+            }
+            if cycle == reset_at {
+                net.reset_for_replay();
+                reset = true;
+                prop_assert!(net.is_idle());
+                check_waiting(&net, w, h);
+            }
+            if pending.is_empty() && net.is_idle() {
+                break;
+            }
+        }
+        prop_assert!(net.is_idle(), "mesh did not drain");
+        if !reset {
+            net.reset_for_replay();
+            check_waiting(&net, w, h);
+        }
+    }
 
     /// Every injected packet is eventually delivered exactly once, and at
     /// quiescence the flit ledger balances.
