@@ -617,14 +617,32 @@ fn deadline_unmeetable_jobs_are_shed_at_admission() {
     });
     let addr = h.addr();
     let slow = r#"{"model":"gcn","input":"cora","mode":"cycle"}"#;
+    // One synchronous job first: its measured batch calibrates the
+    // per-job service estimate that the wait estimate multiplies.
+    let (status, body) = post(addr, "/v1/infer", slow);
+    assert_eq!(status, 200, "{body}");
     let workers: Vec<_> = (0..4)
         .map(|_| std::thread::spawn(move || post(addr, "/v1/infer", slow)))
         .collect();
-    // Wait until the backlog is visible, then try an unmeetable
-    // deadline. The wait estimate needs one measured batch to be
-    // calibrated, so poll briefly.
+    // Try an unmeetable deadline only while at least two jobs wait
+    // behind the running one: the estimate is then two cycle jobs, far
+    // above 1 ms. A probe sent to a shorter queue could be admitted and
+    // block behind the backlog until it has drained.
+    let started = Instant::now();
     let mut shed = None;
-    for _ in 0..100 {
+    while shed.is_none() && started.elapsed() < Duration::from_secs(30) {
+        let depth = fetch_stats(addr)
+            .unwrap()
+            .get("serve.queue_depth")
+            .and_then(JsonValue::as_f64)
+            .unwrap();
+        if depth < 2.0 {
+            if workers.iter().all(|w| w.is_finished()) {
+                break;
+            }
+            std::thread::sleep(Duration::from_millis(1));
+            continue;
+        }
         let (status, body) = post(
             addr,
             "/v1/infer",
@@ -632,9 +650,7 @@ fn deadline_unmeetable_jobs_are_shed_at_admission() {
         );
         if status == 429 && body.contains("deadline unmeetable") {
             shed = Some(body);
-            break;
         }
-        std::thread::sleep(Duration::from_millis(20));
     }
     let body = shed.expect("a 1 ms deadline behind a cycle backlog must be shed");
     assert!(body.contains("estimated wait"), "{body}");
