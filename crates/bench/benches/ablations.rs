@@ -21,6 +21,7 @@ use gnna_core::system::System;
 use gnna_graph::datasets;
 use gnna_models::{Gcn, GcnNorm, ModelKind};
 use gnna_tensor::ops::Activation;
+use std::sync::Arc;
 
 /// Compiles a GCN with the *propagate-then-project* dataflow: the wide
 /// raw features are mean-aggregated first, then projected.
@@ -76,7 +77,7 @@ fn compile_gcn_propagate_first(gcn: &Gcn) -> CompiledProgram {
         buffers,
         edge_buffer: None,
         output_buffer: src,
-        layers,
+        layers: layers.into_iter().map(Arc::new).collect(),
     };
     p.validate().expect("valid alternate dataflow");
     p

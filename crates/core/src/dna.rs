@@ -9,6 +9,7 @@
 //! batched shape. Outputs are computed *functionally* (real values), so
 //! the simulation is verifiable against the reference models.
 
+use crate::layers::Layer;
 use crate::msg::Dest;
 use gnna_dnn::{mapper, EyerissConfig, MatmulShape};
 use gnna_faults::{FaultCounters, FaultPlan, FaultSite, SiteInjector};
@@ -16,6 +17,7 @@ use gnna_models::{GatLayer, Mlp};
 use gnna_telemetry::ModuleProbe;
 use gnna_tensor::ops::{Activation, GruCell};
 use gnna_tensor::Matrix;
+use std::sync::Arc;
 
 /// A dense kernel the DNA can execute on one DNQ entry.
 #[derive(Debug, Clone, PartialEq)]
@@ -227,7 +229,9 @@ struct Job {
 #[derive(Debug)]
 pub struct Dna {
     config: EyerissConfig,
-    kernels: Vec<DnaKernel>,
+    /// The configured layer, whose kernels the array runs (shared with
+    /// the compiled program, not copied per tile).
+    layer: Option<Arc<Layer>>,
     /// Effective MACs per core cycle per kernel (PEs × mapper utilisation).
     throughput: Vec<f64>,
     job: Option<Job>,
@@ -250,7 +254,7 @@ impl Dna {
     pub fn new(config: EyerissConfig) -> Self {
         Dna {
             config,
-            kernels: Vec::new(),
+            layer: None,
             throughput: Vec::new(),
             job: None,
             pending_output: None,
@@ -281,11 +285,12 @@ impl Dna {
         self.probe = Some(probe);
     }
 
-    /// Configures the layer's kernels. `batch_hint` is the number of
+    /// Configures `layer`'s kernels. `batch_hint` is the number of
     /// entries this layer will process on this tile — the mapper uses it
     /// to estimate the batched utilisation the array achieves.
-    pub fn configure(&mut self, kernels: Vec<DnaKernel>, batch_hint: usize) {
-        self.throughput = kernels
+    pub fn configure(&mut self, layer: Arc<Layer>, batch_hint: usize) {
+        self.throughput = layer
+            .kernels
             .iter()
             .map(|k| {
                 let shape = MatmulShape {
@@ -297,7 +302,7 @@ impl Dna {
                 (self.config.num_pes as f64 * util).max(1.0)
             })
             .collect();
-        self.kernels = kernels;
+        self.layer = Some(layer);
     }
 
     /// Discards the in-flight job and any staged output while keeping
@@ -310,12 +315,12 @@ impl Dna {
 
     /// The configured kernels.
     pub fn kernels(&self) -> &[DnaKernel] {
-        &self.kernels
+        self.layer.as_deref().map_or(&[], |l| &l.kernels)
     }
 
     /// Whether the array can accept a new entry this cycle.
     pub fn can_accept(&self) -> bool {
-        self.job.is_none() && !self.kernels.is_empty()
+        self.job.is_none() && !self.kernels().is_empty()
     }
 
     /// Whether the array is executing a job.
@@ -341,7 +346,7 @@ impl Dna {
     /// kernel index is out of range.
     pub fn accept(&mut self, kernel: u8, input: &[f32], dest: Dest, now: u64) {
         assert!(self.can_accept(), "DNA busy");
-        let k = &self.kernels[kernel as usize];
+        let k = &self.kernels()[kernel as usize];
         let output = k.compute(input);
         let macs = k.macs();
         let occupancy = (macs as f64 / self.throughput[kernel as usize]).ceil() as u64;
@@ -377,7 +382,7 @@ impl Dna {
     pub fn tick(&mut self, now: u64) -> Option<(Dest, Vec<f32>)> {
         if self.job.is_some() {
             self.busy_cycles += 1;
-        } else if !self.kernels.is_empty() {
+        } else if !self.kernels().is_empty() {
             // Configured but unoccupied: the array is waiting on the DNQ.
             self.idle_cycles += 1;
         }
@@ -429,7 +434,7 @@ impl Dna {
                 debug_assert!(first + n <= done_at, "batch accounting past a job's end");
                 self.busy_cycles += n;
             }
-            None if !self.kernels.is_empty() => self.idle_cycles += n,
+            None if !self.kernels().is_empty() => self.idle_cycles += n,
             None => {}
         }
     }
@@ -452,7 +457,7 @@ impl Dna {
 
     /// Total weight words across configured kernels (CONFIG traffic).
     pub fn weight_words(&self) -> u64 {
-        self.kernels.iter().map(DnaKernel::weight_words).sum()
+        self.kernels().iter().map(DnaKernel::weight_words).sum()
     }
 }
 
@@ -467,6 +472,17 @@ mod tests {
             bias: None,
             act: Activation::None,
         }
+    }
+
+    /// A layer running `kernels`, for configuring a bare DNA.
+    fn layer_of(kernels: Vec<DnaKernel>) -> Arc<Layer> {
+        Arc::new(Layer {
+            name: "test.dna".into(),
+            program: crate::layers::VertexProgram::Project { src: 0, dst: 1 },
+            kernels,
+            dnq_entry_words: [0, 0],
+            agg_entry_words: 0,
+        })
     }
 
     #[test]
@@ -515,7 +531,10 @@ mod tests {
     fn occupancy_scales_with_macs() {
         let cfg = EyerissConfig::default();
         let mut dna = Dna::new(cfg);
-        dna.configure(vec![linear_kernel(1024, 64), linear_kernel(8, 4)], 1000);
+        dna.configure(
+            layer_of(vec![linear_kernel(1024, 64), linear_kernel(8, 4)]),
+            1000,
+        );
         assert!(dna.can_accept());
         dna.accept(0, &vec![0.1; 1024], Dest::Mem { addr: 0 }, 0);
         let mut done_big = None;
@@ -528,7 +547,7 @@ mod tests {
         }
         let big = done_big.expect("completes");
         let mut dna2 = Dna::new(cfg);
-        dna2.configure(vec![linear_kernel(8, 4)], 1000);
+        dna2.configure(layer_of(vec![linear_kernel(8, 4)]), 1000);
         dna2.accept(0, &[0.1; 8], Dest::Mem { addr: 0 }, 0);
         let mut done_small = None;
         for c in 1..100_000 {
@@ -543,7 +562,7 @@ mod tests {
     #[test]
     fn busy_until_done() {
         let mut dna = Dna::new(EyerissConfig::default());
-        dna.configure(vec![linear_kernel(182, 182)], 182);
+        dna.configure(layer_of(vec![linear_kernel(182, 182)]), 182);
         dna.accept(0, &vec![1.0; 182], Dest::Mem { addr: 0 }, 0);
         assert!(!dna.can_accept());
         let mut cycle = 0;
@@ -562,7 +581,7 @@ mod tests {
     #[test]
     fn stall_output_redelivers() {
         let mut dna = Dna::new(EyerissConfig::default());
-        dna.configure(vec![linear_kernel(4, 2)], 4);
+        dna.configure(layer_of(vec![linear_kernel(4, 2)]), 4);
         dna.accept(0, &[1.0; 4], Dest::Mem { addr: 64 }, 0);
         let mut out = None;
         for c in 1..1000 {
@@ -587,7 +606,7 @@ mod tests {
     fn note_ticks_matches_single_ticks() {
         let busy = || {
             let mut dna = Dna::new(EyerissConfig::default());
-            dna.configure(vec![linear_kernel(64, 64)], 64);
+            dna.configure(layer_of(vec![linear_kernel(64, 64)]), 64);
             dna.accept(0, &[1.0; 64], Dest::Mem { addr: 0 }, 3);
             dna
         };
@@ -604,9 +623,9 @@ mod tests {
             assert_eq!(batch.busy_cycles(), n);
         }
         let mut one = Dna::new(EyerissConfig::default());
-        one.configure(vec![linear_kernel(4, 2)], 4);
+        one.configure(layer_of(vec![linear_kernel(4, 2)]), 4);
         let mut batch = Dna::new(EyerissConfig::default());
-        batch.configure(vec![linear_kernel(4, 2)], 4);
+        batch.configure(layer_of(vec![linear_kernel(4, 2)]), 4);
         for now in 0..9 {
             assert!(one.tick(now).is_none());
         }
@@ -619,7 +638,7 @@ mod tests {
     #[should_panic(expected = "DNA busy")]
     fn accept_while_busy_panics() {
         let mut dna = Dna::new(EyerissConfig::default());
-        dna.configure(vec![linear_kernel(4, 2)], 4);
+        dna.configure(layer_of(vec![linear_kernel(4, 2)]), 4);
         dna.accept(0, &[1.0; 4], Dest::Mem { addr: 0 }, 0);
         dna.accept(0, &[1.0; 4], Dest::Mem { addr: 0 }, 0);
     }
@@ -628,7 +647,7 @@ mod tests {
     fn fault_bubble_delays_but_preserves_output() {
         let run = |rate: f64| {
             let mut dna = Dna::new(EyerissConfig::default());
-            dna.configure(vec![linear_kernel(4, 2)], 4);
+            dna.configure(layer_of(vec![linear_kernel(4, 2)]), 4);
             if rate > 0.0 {
                 let plan = FaultPlan::new(7).with_stall_rate(rate);
                 dna.attach_faults(DnaFaultState::from_plan(&plan, 0));
@@ -660,7 +679,7 @@ mod tests {
     fn fault_injection_is_deterministic_per_seed() {
         let counters = |seed: u64| {
             let mut dna = Dna::new(EyerissConfig::default());
-            dna.configure(vec![linear_kernel(4, 2)], 4);
+            dna.configure(layer_of(vec![linear_kernel(4, 2)]), 4);
             let plan = FaultPlan::new(seed).with_stall_rate(0.5);
             dna.attach_faults(DnaFaultState::from_plan(&plan, 3));
             let mut cycle = 0;

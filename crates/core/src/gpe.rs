@@ -28,7 +28,7 @@ use gnna_noc::Address;
 use gnna_telemetry::ModuleProbe;
 use gnna_tensor::ops::leaky_relu;
 use std::collections::VecDeque;
-use std::rc::Rc;
+use std::sync::Arc;
 
 /// The tile-local NoC endpoints a GPE needs to address.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -292,7 +292,7 @@ pub struct Gpe {
     last_executed: Option<usize>,
     rr: usize,
     work: VecDeque<u32>,
-    layer: Option<Rc<Layer>>,
+    layer: Option<Arc<Layer>>,
     outbox: VecDeque<(Address, Message)>,
     outbox_cap: usize,
     stats: GpeStats,
@@ -329,7 +329,7 @@ impl Gpe {
     /// # Panics
     ///
     /// Panics if the previous layer has not fully drained.
-    pub fn start_layer(&mut self, layer: Rc<Layer>, work: impl IntoIterator<Item = u32>) {
+    pub fn start_layer(&mut self, layer: Arc<Layer>, work: impl IntoIterator<Item = u32>) {
         assert!(self.is_idle(), "layer started while GPE busy");
         self.layer = Some(layer);
         self.work = work.into_iter().collect();
@@ -1580,8 +1580,8 @@ mod tests {
         );
     }
 
-    fn project_layer() -> Rc<Layer> {
-        Rc::new(Layer {
+    fn project_layer() -> Arc<Layer> {
+        Arc::new(Layer {
             name: "test.project".into(),
             program: VertexProgram::Project { src: 0, dst: 1 },
             kernels: vec![DnaKernel::Linear {
@@ -1594,8 +1594,8 @@ mod tests {
         })
     }
 
-    fn aggregate_layer() -> Rc<Layer> {
-        Rc::new(Layer {
+    fn aggregate_layer() -> Arc<Layer> {
+        Arc::new(Layer {
             name: "test.aggregate".into(),
             program: VertexProgram::Aggregate {
                 src: 0,
@@ -1866,7 +1866,8 @@ mod tests {
         let tracer = gnna_telemetry::shared(gnna_telemetry::Tracer::new(
             gnna_telemetry::TraceLevel::Event,
         ));
-        let probe = |m: &str| gnna_telemetry::ModuleProbe::new(Rc::clone(&tracer), "tile0", m);
+        let probe =
+            |m: &str| gnna_telemetry::ModuleProbe::new(std::rc::Rc::clone(&tracer), "tile0", m);
         h.gpe.attach_probe(probe("gpe"));
         h.dnq.attach_probe(probe("dnq"));
         h.agg.attach_probe(probe("agg"));
@@ -1891,7 +1892,7 @@ mod tests {
                 Dest::Mem { addr: 0 },
             )
             .unwrap();
-        let layer = Rc::new(Layer {
+        let layer = Arc::new(Layer {
             name: "test.mpnn".into(),
             program: VertexProgram::MpnnStep {
                 h: 0,
@@ -1902,7 +1903,7 @@ mod tests {
             dnq_entry_words: [4, 4],
             agg_entry_words: 4,
         });
-        h.gpe.start_layer(Rc::clone(&layer), []);
+        h.gpe.start_layer(Arc::clone(&layer), []);
         // Spread the threads over the pool (3 is coprime with 20).
         let slot = |k: usize| (3 * k + 1) % STALL_THREADS;
         for k in 0..ready {

@@ -33,6 +33,7 @@ use crate::layout::{BufferSpec, Rows};
 use crate::CoreError;
 use gnna_models::{Gat, Gcn, MessageFunction, Mpnn, Pgnn};
 use gnna_tensor::ops::Activation;
+use std::sync::Arc;
 
 /// Index of a buffer in the program's buffer list.
 pub type BufferId = usize;
@@ -156,8 +157,9 @@ pub struct CompiledProgram {
     pub edge_buffer: Option<BufferId>,
     /// The buffer holding the final output (per-vertex or per-graph).
     pub output_buffer: BufferId,
-    /// The ordered layers.
-    pub layers: Vec<Layer>,
+    /// The ordered layers, shared with the simulator's modules rather
+    /// than copied into them.
+    pub layers: Vec<Arc<Layer>>,
 }
 
 impl CompiledProgram {
@@ -333,7 +335,7 @@ pub fn compile_gcn(gcn: &Gcn) -> Result<CompiledProgram, CoreError> {
         buffers,
         edge_buffer: None,
         output_buffer: src,
-        layers,
+        layers: layers.into_iter().map(Arc::new).collect(),
     };
     p.validate()?;
     Ok(p)
@@ -399,7 +401,7 @@ pub fn compile_gat(gat: &Gat) -> Result<CompiledProgram, CoreError> {
         buffers,
         edge_buffer: None,
         output_buffer: src,
-        layers,
+        layers: layers.into_iter().map(Arc::new).collect(),
     };
     p.validate()?;
     Ok(p)
@@ -493,7 +495,7 @@ pub fn compile_mpnn(mpnn: &Mpnn) -> Result<CompiledProgram, CoreError> {
         buffers,
         edge_buffer,
         output_buffer: out,
-        layers,
+        layers: layers.into_iter().map(Arc::new).collect(),
     };
     p.validate()?;
     Ok(p)
@@ -553,7 +555,7 @@ pub fn compile_pgnn(pgnn: &Pgnn) -> Result<CompiledProgram, CoreError> {
         buffers,
         edge_buffer: None,
         output_buffer: src,
-        layers,
+        layers: layers.into_iter().map(Arc::new).collect(),
     };
     p.validate()?;
     Ok(p)

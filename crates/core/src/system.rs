@@ -47,6 +47,7 @@ use gnna_telemetry::{shared, MetricsRegistry, ModuleProbe, SharedTracer, TraceLe
 use gnna_tensor::Matrix;
 use std::collections::VecDeque;
 use std::rc::Rc;
+use std::sync::Arc;
 
 /// Master-cycle period of the counter-track sampler (queue occupancies
 /// and in-flight flit counts) when event-level tracing is attached.
@@ -226,6 +227,11 @@ pub struct System {
     board: Vec<Option<(Address, u32)>>,
     partitions: Vec<Vec<u32>>,
     cycle: u64,
+    /// Master cycle of the next core tick at or after `cycle`, and that
+    /// tick's index on the core clock; the loop advances both on a core
+    /// tick and recomputes them only where the clock jumps.
+    next_core_tick: u64,
+    core_tick_index: u64,
     config_cycles: u64,
     layer_timings: Vec<LayerTiming>,
     instance_ranges: Vec<(usize, usize)>,
@@ -464,6 +470,7 @@ impl System {
         for (t, &node) in tile_node.iter().enumerate() {
             node_tile[node] = Some(t as u32);
         }
+        let wheel = EventWheel::new(num_nodes, tile_node.len() + mem_node.len());
         let mut sys = System {
             cfg: cfg.clone(),
             divider,
@@ -478,6 +485,8 @@ impl System {
             board: vec![None; num_graphs],
             partitions,
             cycle: 0,
+            next_core_tick: 0,
+            core_tick_index: 0,
             config_cycles: 0,
             layer_timings: Vec::new(),
             instance_ranges,
@@ -485,7 +494,7 @@ impl System {
             profiler: None,
             energy_model: EnergyModel::default(),
             degraded: DegradedSummary::default(),
-            wheel: EventWheel::new(num_nodes),
+            wheel,
             tile_node,
             mem_node,
             node_tile,
@@ -775,7 +784,7 @@ impl System {
     /// Runs every layer, rolling back to the last checkpoint after a
     /// detected unrecoverable fault while the budget lasts.
     fn run_layers(&mut self) -> Result<(), CoreError> {
-        let layers: Vec<Rc<Layer>> = self.program.layers.iter().cloned().map(Rc::new).collect();
+        let layers = self.program.layers.clone();
         // Free initial checkpoint under rollback recovery: the inputs are
         // still pristine in host memory at run start, so snapshotting
         // them moves no simulated traffic.
@@ -788,7 +797,7 @@ impl System {
         }
         let mut li = 0usize;
         while li < layers.len() {
-            match self.run_layer(Rc::clone(&layers[li])) {
+            match self.run_layer(Arc::clone(&layers[li])) {
                 Ok(()) => {
                     li += 1;
                     self.maybe_checkpoint(li, layers.len());
@@ -945,7 +954,7 @@ impl System {
     /// which closes (with whatever phase the layer left open) on every
     /// exit, so a layer replayed after a rollback never nests under the
     /// failed attempt.
-    fn run_layer(&mut self, layer: Rc<Layer>) -> Result<(), CoreError> {
+    fn run_layer(&mut self, layer: Arc<Layer>) -> Result<(), CoreError> {
         let phase_name = format!("layer:{}", layer.name);
         let mark = self.enter_phase(&phase_name);
         let result = self.run_layer_phases(layer, &phase_name);
@@ -953,7 +962,7 @@ impl System {
         result
     }
 
-    fn run_layer_phases(&mut self, layer: Rc<Layer>, phase_name: &str) -> Result<(), CoreError> {
+    fn run_layer_phases(&mut self, layer: Arc<Layer>, phase_name: &str) -> Result<(), CoreError> {
         // CONFIG: set up modules and charge the weight broadcast.
         let config = self.enter_phase("config");
         let config_start = self.cycle;
@@ -966,15 +975,29 @@ impl System {
         self.board.iter_mut().for_each(|b| *b = None);
         let start = self.cycle;
         self.phase_event(start, |p| p.begin(phase_name));
-        for (t, part) in self.partitions.clone().into_iter().enumerate() {
-            self.tiles[t].gpe.start_layer(Rc::clone(&layer), part);
+        for (tile, part) in self.tiles.iter_mut().zip(&self.partitions) {
+            tile.gpe
+                .start_layer(Arc::clone(&layer), part.iter().copied());
         }
         // Execute until the global barrier (everything idle).
         let cycles = self.enter_phase(CYCLES_SCOPE);
+        self.sync_core_clock();
         let stall_window = self.cfg.stall_window;
         let mut last_progress_marker = self.progress_marker();
         let mut last_progress_cycle = self.cycle;
+        // At event level sleepers settle tick by tick to keep their
+        // trace instants in order, so no cycle is jumped there.
+        let may_jump = self
+            .telemetry
+            .as_ref()
+            .is_none_or(|t| t.level < TraceLevel::Event);
         while !self.all_idle() {
+            if may_jump && self.wheel.all_asleep() && self.net.is_idle() {
+                // The watchdog looks after stepping the window's last
+                // cycle; the jump stops there so it looks at the same
+                // cycle as per-cycle stepping.
+                self.jump_idle(last_progress_cycle.saturating_add(stall_window - 1));
+            }
             self.step_cycle(&layer)?;
             // An exhausted NoC protection model (retransmit budget) is an
             // unrecoverable fault: stop cleanly with the failure detail
@@ -1095,7 +1118,7 @@ impl System {
     /// Configures AGG/DNQ/DNA on every tile for `layer`; returns the
     /// master-cycle cost of the CONFIG broadcast (weight traffic at the
     /// aggregate memory bandwidth plus allocation-bus setup).
-    fn configure_layer(&mut self, layer: &Layer) -> u64 {
+    fn configure_layer(&mut self, layer: &Arc<Layer>) -> u64 {
         let batch_hint = self.union.num_nodes() / self.tiles.len().max(1);
         for tile in &mut self.tiles {
             if layer.agg_entry_words > 0 {
@@ -1104,7 +1127,7 @@ impl System {
             if layer.dnq_entry_words.iter().any(|&w| w > 0) {
                 tile.dnq.configure(layer.dnq_entry_words);
             }
-            tile.dna.configure(layer.kernels.clone(), batch_hint);
+            tile.dna.configure(Arc::clone(layer), batch_hint);
         }
         let weight_bytes = layer.weight_words() * 4 * self.tiles.len() as u64;
         let bw = self.cfg.total_mem_bandwidth();
@@ -1231,6 +1254,28 @@ impl System {
         }
     }
 
+    /// Recomputes the next core tick after the clock moved other than
+    /// by one stepped cycle.
+    fn sync_core_clock(&mut self) {
+        self.core_tick_index = self.cycle.div_ceil(self.divider);
+        self.next_core_tick = self.core_tick_index * self.divider;
+    }
+
+    /// Jumps the clock to the next cycle in which something can happen,
+    /// given that every node sleeps and the mesh is empty: no delivery
+    /// can wake a node, so that is the earliest live timer, or `cap` if
+    /// that comes first. Nothing runs in the jumped cycles: no timer
+    /// falls due, sleepers settle them when they wake, as they would
+    /// have, and the idle mesh only moves its clock.
+    fn jump_idle(&mut self, cap: u64) {
+        let target = self.wheel.next_timer().map_or(cap, |at| at.min(cap));
+        if target > self.cycle {
+            self.net.advance_idle(target - self.cycle);
+            self.cycle = target;
+            self.sync_core_clock();
+        }
+    }
+
     /// Converts a result destination into NoC messages.
     fn dest_messages(map: &AddressMap, dest: Dest, data: Vec<f32>) -> Vec<(Address, Message)> {
         match dest {
@@ -1260,8 +1305,12 @@ impl System {
 
     fn step_cycle(&mut self, _layer: &Layer) -> Result<(), CoreError> {
         let c = self.cycle;
-        let core_tick = c.is_multiple_of(self.divider);
-        let core_now = c / self.divider;
+        let core_tick = c == self.next_core_tick;
+        let core_now = self.core_tick_index;
+        if core_tick {
+            self.next_core_tick += self.divider;
+            self.core_tick_index += 1;
+        }
 
         // Host profiling: `None` (the default) keeps the whole mechanism
         // to one branch per lap site.

@@ -24,6 +24,11 @@
 //! until the rotation that matches their cycle. A node keeps one live
 //! timer: sleeping again replaces it, and stale entries drop unfired.
 //!
+//! The wheel also counts the nodes that are awake, so the system can
+//! tell in one compare that every node sleeps; with the mesh empty too,
+//! nothing can happen before the earliest live timer
+//! ([`EventWheel::next_timer`]), and the cycle loop jumps straight to it.
+//!
 //! Sleeping is *exactly* accounted: the wheel records the first
 //! unsettled cycle, and the system settles the skipped core ticks
 //! through the modules' `note_ticks` batch hooks — each a tested
@@ -44,6 +49,8 @@ const NO_TIMER: u64 = u64::MAX;
 #[derive(Debug)]
 pub(crate) struct EventWheel {
     asleep: Vec<bool>,
+    /// Nodes that can sleep and are awake.
+    awake: usize,
     /// First skipped cycle, per sleeping node.
     slept_from: Vec<u64>,
     /// Per node, the cycle of its live timer ([`NO_TIMER`]: none).
@@ -55,9 +62,14 @@ pub(crate) struct EventWheel {
 }
 
 impl EventWheel {
-    pub fn new(num_nodes: usize) -> Self {
+    /// A wheel over `num_nodes` node slots, `sleepers` of which ever
+    /// sleep (the rest, empty mesh positions, are never put to sleep);
+    /// all start awake.
+    pub fn new(num_nodes: usize, sleepers: usize) -> Self {
+        debug_assert!(sleepers <= num_nodes);
         EventWheel {
             asleep: vec![false; num_nodes],
+            awake: sleepers,
             slept_from: vec![0; num_nodes],
             timer: vec![NO_TIMER; num_nodes],
             buckets: (0..BUCKETS).map(|_| Vec::new()).collect(),
@@ -74,6 +86,7 @@ impl EventWheel {
     pub fn sleep(&mut self, node: usize, from_cycle: u64) {
         debug_assert!(!self.asleep[node], "node {node} already asleep");
         self.asleep[node] = true;
+        self.awake -= 1;
         self.slept_from[node] = from_cycle;
         self.timer[node] = NO_TIMER;
     }
@@ -94,7 +107,25 @@ impl EventWheel {
             return None;
         }
         self.asleep[node] = false;
+        self.awake += 1;
         Some(self.slept_from[node])
+    }
+
+    /// Whether every node that can sleep is asleep.
+    pub fn all_asleep(&self) -> bool {
+        self.awake == 0
+    }
+
+    /// The earliest live timer of a sleeping node, if any: no timer
+    /// fires before it. An O(nodes) scan, for when every node sleeps.
+    pub fn next_timer(&self) -> Option<u64> {
+        self.timer
+            .iter()
+            .zip(&self.asleep)
+            .filter(|&(_, &asleep)| asleep)
+            .map(|(&at, _)| at)
+            .min()
+            .filter(|&at| at != NO_TIMER)
     }
 
     /// Schedules a timer wake for `node` at cycle `at`, replacing any
@@ -133,7 +164,7 @@ mod tests {
 
     #[test]
     fn sleep_wake_roundtrip_reports_first_skipped_cycle() {
-        let mut w = EventWheel::new(4);
+        let mut w = EventWheel::new(4, 4);
         assert!(!w.is_asleep(2));
         w.sleep(2, 100);
         assert!(w.is_asleep(2));
@@ -144,8 +175,37 @@ mod tests {
     }
 
     #[test]
+    fn awake_count_and_next_timer_track_sleepers() {
+        // Node 3 is an empty mesh position: it never sleeps.
+        let mut w = EventWheel::new(4, 3);
+        assert!(!w.all_asleep());
+        w.sleep(0, 5);
+        w.schedule(0, 40);
+        w.sleep(1, 5);
+        assert!(!w.all_asleep());
+        assert_eq!(w.next_timer(), Some(40));
+        w.sleep(2, 6);
+        w.schedule(2, 30);
+        assert!(w.all_asleep());
+        assert_eq!(w.next_timer(), Some(30));
+        // A node woken early leaves its old timer behind; only sleeping
+        // nodes' timers count.
+        assert_eq!(w.wake(2), Some(6));
+        assert!(!w.all_asleep());
+        assert_eq!(w.wake(2), None, "a second wake changes no count");
+        assert_eq!(w.next_timer(), Some(40));
+        w.sleep(2, 9);
+        assert!(w.all_asleep());
+        assert_eq!(w.next_timer(), Some(40));
+        // Sleeping again drops the timer the node had.
+        assert_eq!(w.wake(0), Some(5));
+        w.sleep(0, 10);
+        assert_eq!(w.next_timer(), None);
+    }
+
+    #[test]
     fn timer_fires_at_its_exact_cycle() {
-        let mut w = EventWheel::new(2);
+        let mut w = EventWheel::new(2, 2);
         w.schedule(1, 42);
         let mut due = Vec::new();
         w.due(41, &mut due);
@@ -163,7 +223,7 @@ mod tests {
 
     #[test]
     fn far_timer_survives_a_full_rotation() {
-        let mut w = EventWheel::new(1);
+        let mut w = EventWheel::new(1, 1);
         // Same bucket as cycle 10, but two rotations out.
         let far = 10 + 2 * BUCKETS as u64;
         w.schedule(0, far);
@@ -180,7 +240,7 @@ mod tests {
     fn late_drain_fires_overdue_timers() {
         // If a bucket is visited past the scheduled cycle, the overdue
         // entry still fires instead of lingering forever.
-        let mut w = EventWheel::new(1);
+        let mut w = EventWheel::new(1, 1);
         w.schedule(0, 7);
         let mut due = Vec::new();
         w.due(7 + BUCKETS as u64, &mut due);
@@ -191,7 +251,7 @@ mod tests {
     fn stale_timers_are_dropped_unfired() {
         // A node woken early that sleeps again keeps only its new timer
         // (or none): the old entry must not wake it early.
-        let mut w = EventWheel::new(2);
+        let mut w = EventWheel::new(2, 2);
         let mut due = Vec::new();
         w.sleep(0, 1);
         w.schedule(0, 10);
