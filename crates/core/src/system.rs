@@ -1266,11 +1266,10 @@ impl System {
     /// can wake a node, so that is the earliest live timer, or `cap` if
     /// that comes first. Nothing runs in the jumped cycles: no timer
     /// falls due, sleepers settle them when they wake, as they would
-    /// have, and the idle mesh only moves its clock.
+    /// have, and the empty mesh takes no steps.
     fn jump_idle(&mut self, cap: u64) {
         let target = self.wheel.next_timer().map_or(cap, |at| at.min(cap));
         if target > self.cycle {
-            self.net.advance_idle(target - self.cycle);
             self.cycle = target;
             self.sync_core_clock();
         }
