@@ -3,7 +3,10 @@
 //! One batch = one compiled program over one union graph. Functional
 //! jobs answer straight from the `gnna-models` reference rows (cached
 //! per dataset, computed per inline graph), so their responses are
-//! bit-exact however they were batched. Cycle-accurate jobs share a
+//! bit-exact however they were batched. A named functional job builds
+//! no graph instance and copies no rows: its rows are rendered once per
+//! dataset instance, the first time a functional job asks for them, and
+//! every later reply copies that rendering. Cycle-accurate jobs share a
 //! single `System` built over every graph instance in the batch — the
 //! config/layout/issue fixed cost is paid once, which is where the
 //! batching throughput win on a serving workload comes from — and get
@@ -34,15 +37,34 @@ use gnna_models::{Gat, Gcn, GcnNorm, ModelKind};
 use gnna_telemetry::json;
 use gnna_tensor::Matrix;
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
+use std::ops::Range;
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
 /// A cached named-dataset case: the benchmark pair plus the reference
 /// row range of every dataset instance.
 struct NamedCase {
     case: BenchCase,
-    /// `(start, len)` into `case.reference` per instance.
-    ranges: Vec<(usize, usize)>,
+    /// Each instance's rows of `case.reference`.
+    ranges: Vec<Range<usize>>,
+    /// Each instance's reference rows as [`push_rows`] renders them,
+    /// made the first time a functional job asks: most instances of a
+    /// large dataset are never asked for.
+    rendered: Vec<OnceLock<String>>,
+}
+
+impl NamedCase {
+    /// The wire rendering of `instance`'s reference rows.
+    fn rendered_rows(&self, instance: usize) -> &str {
+        self.rendered[instance].get_or_init(|| {
+            let mut out = String::new();
+            push_rows(
+                &mut out,
+                &self.case.reference[self.ranges[instance].clone()],
+            );
+            out
+        })
+    }
 }
 
 /// Most inline-graph models the engine keeps. Every distinct
@@ -139,8 +161,11 @@ struct Slot {
     batched: Instant,
     queue_us: u64,
     coalesce_us: u64,
+    /// Simulated rows; empty for functional jobs.
     rows: Vec<Vec<f32>>,
-    reference: Vec<Vec<f32>>,
+    /// The job's functional reference rows within the batch's
+    /// reference (the named case's, or the batch's inline rows).
+    reference: Range<usize>,
     energy_pj: u64,
     /// The degrade watermark flipped this cycle job to functional
     /// execution; the response is flagged `"degraded":true`.
@@ -194,10 +219,15 @@ impl Engine {
             } else {
                 inst.x.rows()
             };
-            ranges.push((start, len));
+            ranges.push(start..start + len);
             start += len;
         }
-        let entry = Arc::new(NamedCase { case, ranges });
+        let rendered = ranges.iter().map(|_| OnceLock::new()).collect();
+        let entry = Arc::new(NamedCase {
+            case,
+            ranges,
+            rendered,
+        });
         let mut cache = self.named.lock().expect("cache poisoned");
         Ok(Arc::clone(cache.entry((model, input)).or_insert(entry)))
     }
@@ -295,12 +325,14 @@ impl Engine {
             }
         };
 
-        // Admit each job into a slot: build its graph instance and its
-        // functional reference. Invalid jobs answer 400 immediately and
-        // drop out of the batch.
+        // Admit each job into a slot: find its functional reference and,
+        // for a cycle batch, build its graph instance. Invalid jobs
+        // answer 400 immediately and drop out of the batch.
+        let cycle = mode == ExecMode::CycleAccurate;
         let mut slots: Vec<Slot> = Vec::with_capacity(batch.len());
         let mut responders = Vec::with_capacity(batch.len());
-        let mut instances: Vec<GraphInstance> = Vec::with_capacity(batch.len());
+        let mut instances: Vec<GraphInstance> = Vec::new();
+        let mut inline_reference: Vec<Vec<f32>> = Vec::new();
         for job in batch {
             // Stage boundaries: queue wait ends when the worker adopted
             // the job into the batch; the coalesce window runs from
@@ -311,9 +343,9 @@ impl Engine {
             let prepared = match (&case, &job.request.input) {
                 (Case::Named(nc), JobInput::Named { instance, .. }) => {
                     match nc.ranges.get(*instance) {
-                        Some(&(start, len)) => Ok((
-                            nc.case.dataset.instances[*instance].clone(),
-                            nc.case.reference[start..start + len].to_vec(),
+                        Some(range) => Ok((
+                            cycle.then(|| nc.case.dataset.instances[*instance].clone()),
+                            range.clone(),
                         )),
                         None => Err(format!(
                             "instance {instance} out of range ({} available)",
@@ -324,9 +356,9 @@ impl Engine {
                 (Case::Inline(ic), JobInput::Inline(g)) => {
                     Self::inline_instance(g).and_then(|inst| {
                         let r = ic.model.forward(&inst.graph, &inst.x)?;
-                        let reference =
-                            (0..r.rows()).map(|i| r.row(i).to_vec()).collect::<Vec<_>>();
-                        Ok((inst, reference))
+                        let start = inline_reference.len();
+                        inline_reference.extend((0..r.rows()).map(|i| r.row(i).to_vec()));
+                        Ok((cycle.then_some(inst), start..inline_reference.len()))
                     })
                 }
                 // BatchKey::of puts named inputs in named batches and
@@ -335,7 +367,7 @@ impl Engine {
             };
             match prepared {
                 Ok((inst, reference)) => {
-                    instances.push(inst);
+                    instances.extend(inst);
                     responders.push(job.respond);
                     slots.push(Slot {
                         request: job.request,
@@ -363,60 +395,33 @@ impl Engine {
         }
         let batch_size = slots.len();
 
-        // Execute. Functional mode answers from the reference; cycle
-        // mode runs one union simulation for the whole batch.
+        // Execute. Functional mode answers from the reference as it
+        // stands; cycle mode runs one union simulation for the whole
+        // batch.
         let mut report: Option<SimReport> = None;
-        match mode {
-            ExecMode::Functional => {
-                for slot in &mut slots {
-                    slot.rows = slot.reference.clone();
-                }
-            }
-            ExecMode::CycleAccurate => {
-                let program = match &case {
-                    Case::Named(nc) => nc.case.program.clone(),
-                    Case::Inline(ic) => ic.program.clone(),
-                };
-                let run = System::new(&self.config, &instances, program)
-                    .and_then(|mut sys| sys.run().map(|r| (sys, r)));
-                match run {
-                    Ok((sys, r)) => {
-                        let mut extract_err = None;
-                        for (i, slot) in slots.iter_mut().enumerate() {
-                            match sys.output_matrix(i) {
-                                Ok(m) => {
-                                    slot.rows = (0..m.rows()).map(|j| m.row(j).to_vec()).collect();
-                                }
-                                Err(e) => {
-                                    extract_err = Some(e.to_string());
-                                    break;
-                                }
+        if cycle {
+            let program = match &case {
+                Case::Named(nc) => nc.case.program.clone(),
+                Case::Inline(ic) => ic.program.clone(),
+            };
+            let run = System::new(&self.config, &instances, program)
+                .and_then(|mut sys| sys.run().map(|r| (sys, r)));
+            match run {
+                Ok((sys, r)) => {
+                    let mut extract_err = None;
+                    for (i, slot) in slots.iter_mut().enumerate() {
+                        match sys.output_matrix(i) {
+                            Ok(m) => {
+                                slot.rows = (0..m.rows()).map(|j| m.row(j).to_vec()).collect();
+                            }
+                            Err(e) => {
+                                extract_err = Some(e.to_string());
+                                break;
                             }
                         }
-                        if let Some(msg) = extract_err {
-                            let body = error_body(&msg);
-                            for tx in responders {
-                                let _ = tx.send(JobOutcome {
-                                    status: 500,
-                                    body: body.clone(),
-                                });
-                            }
-                            return;
-                        }
-                        // Exact energy attribution: per-job shares sum
-                        // to the batch total, weighted by output size.
-                        let total_pj = EnergyModel::default().total_pj(&r);
-                        let weights: Vec<u64> = slots
-                            .iter()
-                            .map(|s| s.rows.iter().map(|row| row.len() as u64).sum::<u64>())
-                            .collect();
-                        for (slot, pj) in slots.iter_mut().zip(split_exact(total_pj, &weights)) {
-                            slot.energy_pj = pj;
-                        }
-                        report = Some(r);
                     }
-                    Err(e) => {
-                        let body = error_body(&e.to_string());
+                    if let Some(msg) = extract_err {
+                        let body = error_body(&msg);
                         for tx in responders {
                             let _ = tx.send(JobOutcome {
                                 status: 500,
@@ -425,6 +430,27 @@ impl Engine {
                         }
                         return;
                     }
+                    // Exact energy attribution: per-job shares sum
+                    // to the batch total, weighted by output size.
+                    let total_pj = EnergyModel::default().total_pj(&r);
+                    let weights: Vec<u64> = slots
+                        .iter()
+                        .map(|s| s.rows.iter().map(|row| row.len() as u64).sum::<u64>())
+                        .collect();
+                    for (slot, pj) in slots.iter_mut().zip(split_exact(total_pj, &weights)) {
+                        slot.energy_pj = pj;
+                    }
+                    report = Some(r);
+                }
+                Err(e) => {
+                    let body = error_body(&e.to_string());
+                    for tx in responders {
+                        let _ = tx.send(JobOutcome {
+                            status: 500,
+                            body: body.clone(),
+                        });
+                    }
+                    return;
                 }
             }
         }
@@ -436,11 +462,24 @@ impl Engine {
             .as_ref()
             .map_or((0, 0), |r| (r.total_cycles, r.config_cycles));
 
+        let batch_reference: &[Vec<f32>] = match &case {
+            Case::Named(nc) => &nc.case.reference,
+            Case::Inline(_) => &inline_reference,
+        };
+
         // Fan response assembly (accuracy grading + serialization) out
         // on the shared executor; in-order emission keeps slot order.
         let assembled = self.executor.map_ordered(slots.len(), |i| {
             let slot = &slots[i];
-            let mut body = String::with_capacity(256 + slot.rows.len() * 64);
+            let reference = &batch_reference[slot.reference.clone()];
+            let rendered = match (&case, &slot.request.input, mode) {
+                (Case::Named(nc), JobInput::Named { instance, .. }, ExecMode::Functional) => {
+                    Some(nc.rendered_rows(*instance))
+                }
+                _ => None,
+            };
+            let rows = if cycle { &slot.rows[..] } else { reference };
+            let mut body = String::with_capacity(256 + rendered.map_or(rows.len() * 64, str::len));
             body.push_str("{\"id\":\"");
             json::escape_into(&mut body, &slot.request.id);
             body.push_str("\",\"status\":\"ok\",\"model\":\"");
@@ -463,9 +502,14 @@ impl Engine {
                 body.push_str(",\"degraded\":true");
             }
             body.push_str(",\"rows\":");
-            push_rows(&mut body, &slot.rows);
-            let accuracy = if slot.request.mode == ExecMode::CycleAccurate && !slot.degraded {
-                let acc = compare_rows(&slot.reference, &slot.rows).map_err(|e| e.to_string())?;
+            match rendered {
+                Some(r) => body.push_str(r),
+                None => push_rows(&mut body, rows),
+            }
+            // A cycle batch holds no degraded jobs: they batch as
+            // functional ones.
+            let accuracy = if cycle {
+                let acc = compare_rows(reference, &slot.rows).map_err(|e| e.to_string())?;
                 Some(format!(
                     ",\"accuracy\":{{\"max_rel_err\":{},\"mean_rel_err\":{},\
                      \"label_flips\":{},\"nonfinite\":{}}}",

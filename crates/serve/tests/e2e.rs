@@ -697,6 +697,9 @@ fn degrade_watermark_answers_cycle_jobs_functionally_flagged() {
             .collect();
         handles.into_iter().map(|t| t.join().unwrap()).collect()
     });
+    let case = build_case(ModelKind::Gcn, "Cora", Scale::Smoke).unwrap();
+    let mut reference = String::new();
+    push_rows(&mut reference, &case.reference);
     let mut degraded = 0;
     let mut full_cycle = 0;
     for (status, body) in &bodies {
@@ -705,12 +708,17 @@ fn degrade_watermark_answers_cycle_jobs_functionally_flagged() {
         if matches!(v.get("degraded"), Some(JsonValue::Bool(true))) {
             degraded += 1;
             // A degraded response is functional: no accuracy grade, no
-            // cycle telemetry, mode says what actually ran.
+            // cycle telemetry, mode says what actually ran, and the rows
+            // are the reference bytes.
             assert_eq!(
                 v.get("mode").and_then(JsonValue::as_str),
                 Some("functional")
             );
             assert!(v.get("accuracy").is_none(), "degraded jobs skip accuracy");
+            assert!(
+                raw_rows(body) == Some(reference.as_str()),
+                "degraded rows differ from the reference bytes"
+            );
         } else {
             full_cycle += 1;
             assert_eq!(v.get("mode").and_then(JsonValue::as_str), Some("cycle"));

@@ -1,7 +1,7 @@
 //! One in-process `gnna-serve` round trip at smoke scale: a daemon on an
-//! ephemeral port answers an MPNN cycle-accurate job with the simulated
-//! row of its molecule and a GCN functional job with the reference rows
-//! byte for byte, then drains.
+//! ephemeral port answers MPNN cycle-accurate jobs with the simulated
+//! row of their molecule, and GCN and MPNN functional jobs with their
+//! instance's reference rows byte for byte, then drains.
 
 use gnna_bench::{build_case, Scale};
 use gnna_models::ModelKind;
@@ -41,35 +41,17 @@ fn rows(body: &str) -> Vec<Vec<f64>> {
         .collect()
 }
 
-#[test]
-fn serve_answers_cycle_and_functional_jobs() {
-    let daemon = serve(ServeConfig {
-        instances: 1,
-        ..ServeConfig::default()
-    })
-    .expect("daemon boots");
-    let addr = daemon.addr();
-
-    // MPNN, cycle-accurate: one molecule's simulated row against its
-    // functional reference.
-    let instance = 3;
-    let (status, body) = infer(
-        addr,
-        &format!(
-            r#"{{"id":"m","model":"mpnn","input":"QM9_1000","instance":{instance},"mode":"cycle"}}"#
-        ),
-    );
-    assert_eq!(status, 200, "{body}");
-    let v = json::parse(&body).unwrap();
+/// Asserts that a cycle-mode reply carries one simulated row within
+/// [`MAX_ROW_REL_ERR`] of `want`.
+fn assert_graded(body: &str, want: &[f32]) {
+    let v = json::parse(body).unwrap();
     assert_eq!(v.get("mode").and_then(JsonValue::as_str), Some("cycle"));
     let cycles = v
         .get("telemetry")
         .and_then(|t| t.get("total_cycles"))
         .and_then(JsonValue::as_u64);
     assert!(cycles.is_some_and(|c| c > 0), "{body}");
-    let got = rows(&body);
-    let case = build_case(ModelKind::Mpnn, "QM9_1000", Scale::Smoke).unwrap();
-    let want = &case.reference[instance];
+    let got = rows(body);
     assert_eq!(got.len(), 1, "one row per molecule");
     assert_eq!(got[0].len(), want.len());
     let scale = want.iter().fold(0f64, |m, &r| m.max(f64::from(r).abs()));
@@ -83,20 +65,66 @@ fn serve_answers_cycle_and_functional_jobs() {
         "row error {err:e} vs the reference: {:?} vs {want:?}",
         got[0]
     );
+}
 
-    // GCN, functional: the reference rows, byte for byte.
-    let (status, body) = infer(
-        addr,
-        r#"{"id":"g","model":"gcn","input":"cora","mode":"functional"}"#,
-    );
-    assert_eq!(status, 200, "{body}");
-    let case = build_case(ModelKind::Gcn, "Cora", Scale::Smoke).unwrap();
-    let mut want = String::new();
-    push_rows(&mut want, &case.reference);
+/// Asserts that a reply's rows are `push_rows` of `want`, byte for byte.
+fn assert_reference_bytes(body: &str, want: &[Vec<f32>]) {
+    let mut bytes = String::new();
+    push_rows(&mut bytes, want);
     assert!(
-        raw_rows(&body) == Some(want.as_str()),
+        raw_rows(body) == Some(bytes.as_str()),
         "served rows differ from the reference bytes"
     );
+}
+
+#[test]
+fn serve_answers_cycle_and_functional_jobs() {
+    let daemon = serve(ServeConfig {
+        instances: 1,
+        ..ServeConfig::default()
+    })
+    .expect("daemon boots");
+    let addr = daemon.addr();
+
+    // MPNN, cycle-accurate: one molecule's simulated row against its
+    // functional reference.
+    let instance = 3;
+    let cycle_job = format!(
+        r#"{{"id":"m","model":"mpnn","input":"QM9_1000","instance":{instance},"mode":"cycle"}}"#
+    );
+    let (status, body) = infer(addr, &cycle_job);
+    assert_eq!(status, 200, "{body}");
+    let mpnn = build_case(ModelKind::Mpnn, "QM9_1000", Scale::Smoke).unwrap();
+    assert_graded(&body, &mpnn.reference[instance]);
+
+    // GCN, functional: the reference rows, byte for byte, on the job
+    // that renders them and on the next, which is served that rendering.
+    let gcn = build_case(ModelKind::Gcn, "Cora", Scale::Smoke).unwrap();
+    for id in ["g0", "g1"] {
+        let (status, body) = infer(
+            addr,
+            &format!(r#"{{"id":"{id}","model":"gcn","input":"cora","mode":"functional"}}"#),
+        );
+        assert_eq!(status, 200, "{body}");
+        assert_reference_bytes(&body, &gcn.reference);
+    }
+
+    // MPNN, functional: the molecule's own reference row, not another
+    // instance's.
+    let (status, body) = infer(
+        addr,
+        &format!(
+            r#"{{"id":"f","model":"mpnn","input":"QM9_1000","instance":{instance},"mode":"functional"}}"#
+        ),
+    );
+    assert_eq!(status, 200, "{body}");
+    assert_reference_bytes(&body, &mpnn.reference[instance..instance + 1]);
+
+    // A cycle job after the functional ones still grades against the
+    // reference.
+    let (status, body) = infer(addr, &cycle_job);
+    assert_eq!(status, 200, "{body}");
+    assert_graded(&body, &mpnn.reference[instance]);
 
     daemon.shutdown();
     daemon.join();
