@@ -39,7 +39,7 @@
 //! registry carries every `SimReport` counter — the agreement test below
 //! proves it — so there is nowhere for a behaviour change to hide.
 //!
-//! The same 28 cells plus two rollback runs are also run at
+//! The same 29 cells plus two rollback runs are also run at
 //! `TraceLevel::Event` and pinned in `tests/golden/sim_metrics_event.txt`.
 //! Only an event-level harvest carries the energy ledger
 //! (`*.energy.*_pj`), the per-link busy counters and the NoC latency/hop
@@ -70,7 +70,7 @@ use gnna_core::energy::EnergyModel;
 use gnna_core::layers::{compile_gat, compile_gcn, compile_mpnn, compile_pgnn};
 use gnna_core::stats::SimReport;
 use gnna_core::system::{System, TraceOptions};
-use gnna_faults::{FaultCounters, FaultPlan, MeshDir, RecoveryMode};
+use gnna_faults::{CrcDomain, FaultCounters, FaultPlan, MeshDir, RecoveryMode};
 use gnna_graph::datasets;
 use gnna_models::{Gat, Gcn, GcnNorm, Mpnn, Pgnn};
 use gnna_telemetry::energy::CostClass;
@@ -96,7 +96,7 @@ const SMOKE_MODEL_SEED: u64 = 0xD0C5;
 /// per corpus cell.
 const GOLDEN: &str = include_str!("golden/sim_metrics.txt");
 
-/// Committed digests of the event-level corpus (the 28 cells plus the
+/// Committed digests of the event-level corpus (the 29 cells plus the
 /// two rollback runs).
 const GOLDEN_EVENT: &str = include_str!("golden/sim_metrics_event.txt");
 
@@ -117,7 +117,7 @@ fn config_for(name: &str) -> AcceleratorConfig {
 /// `level`: small scaled datasets for the matrix (the same shapes the
 /// end-to-end functional tests use) and the smoke scale for the two
 /// divided-clock cells, the multi-hop one and the molecule, so the
-/// whole 28-cell corpus runs in seconds
+/// whole 29-cell corpus runs in seconds
 /// while still exercising every module and both mesh layouts.
 fn system_for(
     model: &str,
@@ -225,6 +225,11 @@ fn plan_for(mode: &str, config: &str) -> Option<FaultPlan> {
         } else {
             FaultPlan::new(5).with_mem_stuck_rate(0.002)
         }),
+        "ctrl-crc" => Some(
+            FaultPlan::new(42)
+                .with_rate(0.01)
+                .with_crc_domain(CrcDomain::ControlOnly),
+        ),
         "rollback" => Some(rollback_plan(3)),
         "rollback-replay" => Some(rollback_plan(5)),
         other => panic!("unknown mode {other}"),
@@ -301,12 +306,25 @@ fn corpus_at(level: TraceLevel) -> Vec<Cell> {
     for (model, config) in [MULTI_HOP, MOLECULE] {
         cells.push(run_traced(model, config, "clean", level));
     }
+    cells.push(ctrl_crc_cell(level));
     cells
 }
 
 /// Every cell of the untraced corpus, in golden-file order.
 fn corpus() -> Vec<Cell> {
     corpus_at(TraceLevel::Off)
+}
+
+/// The control-only CRC run traced at `level`: it must both retry
+/// corrupted read requests and deliver corrupted data unchecked, with
+/// every injected fault counted exactly once.
+fn ctrl_crc_cell(level: TraceLevel) -> Cell {
+    let cell = run_traced("gcn", "gpu-iso", "ctrl-crc", level);
+    let r = &cell.report.resilience;
+    assert!(r.noc.sdc > 0, "{}: no poisoned delivery: {r:?}", cell.name);
+    assert!(r.noc.retried > 0, "{}: no CRC retry: {r:?}", cell.name);
+    assert!(r.partition_holds(), "{}: {r:?}", cell.name);
+    cell
 }
 
 /// A GCN rollback plan at `seed`: double-bit DRAM faults against a
@@ -400,7 +418,7 @@ fn digests(cells: &[Cell]) -> Vec<(String, u64)> {
     cells.iter().map(|c| (c.name.clone(), c.digest)).collect()
 }
 
-/// The full 28-cell corpus: every digest must match the committed file.
+/// The full 29-cell corpus: every digest must match the committed file.
 #[test]
 fn sim_metrics_digests_match_golden_corpus() {
     check_golden(
