@@ -829,14 +829,17 @@ fn stats_report_a_live_rss_gauge() {
 
 #[test]
 fn disconnected_clients_jobs_are_cancelled_before_execution() {
-    // Serialized worker; park a slow cycle job, queue a second from a
-    // client that immediately hangs up, then measure that the queue
-    // drains without executing the abandoned job.
+    // Serialized worker; park a job, queue a second from a client that
+    // immediately hangs up, then measure that the queue drains without
+    // executing the abandoned job. The parked job is held by
+    // construction, not by its run time: with room for two jobs per
+    // batch and no compatible job coming, the worker holds it for the
+    // whole flush window before it runs, however fast the build is.
     let h = boot(|cfg| {
         cfg.instances = 1;
-        cfg.max_batch = 1;
+        cfg.max_batch = 2;
         cfg.queue_cap = 8;
-        cfg.flush = Duration::ZERO;
+        cfg.flush = Duration::from_secs(2);
     });
     let addr = h.addr();
     let runner = std::thread::spawn(move || {
@@ -846,7 +849,17 @@ fn disconnected_clients_jobs_are_cancelled_before_execution() {
             r#"{"id":"hold","model":"gcn","input":"cora","mode":"cycle"}"#,
         )
     });
-    std::thread::sleep(Duration::from_millis(50));
+    // Send the abandoned job only once the parked one is admitted, so
+    // it queues behind it.
+    let admitted = |stats: &JsonValue| {
+        stats
+            .get("serve.tenant.default.admitted")
+            .and_then(JsonValue::as_u64)
+            .unwrap_or(0)
+    };
+    while admitted(&fetch_stats(addr).unwrap()) == 0 {
+        std::thread::sleep(Duration::from_millis(1));
+    }
     // Fire-and-hang-up: write the request, then drop the socket.
     {
         let mut s = TcpStream::connect(addr).unwrap();
