@@ -33,7 +33,6 @@ struct Args {
     trace_out: Option<String>,
     metrics_out: Option<String>,
     trace_level: Option<TraceLevel>,
-    flight_capacity: Option<usize>,
     fault_seed: Option<u64>,
     fault_rate: Option<f64>,
     fault_fit: Option<f64>,
@@ -71,8 +70,6 @@ usage: gnna-sim [options]
   --metrics-out PATH             write module counters (.json or .csv)
   --trace-level off|phase|event  trace detail (default: event when
                                  --trace-out is given, off otherwise)
-  --flight-capacity N            stall flight-recorder ring size
-                                 (default 256; 0 disables the ring)
   --fault-rate P                 per-event transient-fault probability at
                                  every protected site (0 disables; runs
                                  with 0 are bit-identical to no flag)
@@ -129,7 +126,6 @@ fn parse_args() -> Result<Args, String> {
     let mut trace_out = None;
     let mut metrics_out = None;
     let mut trace_level = None;
-    let mut flight_capacity = None;
     let mut fault_seed = None;
     let mut fault_rate = None;
     let mut fault_fit = None;
@@ -183,13 +179,6 @@ fn parse_args() -> Result<Args, String> {
                     TraceLevel::parse(&s)
                         .ok_or_else(|| format!("unknown trace level {s} (off|phase|event)"))?,
                 );
-            }
-            "--flight-capacity" => {
-                flight_capacity = Some(
-                    value("--flight-capacity")?
-                        .parse()
-                        .map_err(|e| format!("bad flight capacity: {e}"))?,
-                )
             }
             "--fault-rate" => {
                 let r: f64 = value("--fault-rate")?
@@ -314,7 +303,6 @@ fn parse_args() -> Result<Args, String> {
         trace_out,
         metrics_out,
         trace_level,
-        flight_capacity,
         fault_seed,
         fault_rate,
         fault_fit,
@@ -449,7 +437,6 @@ fn main() -> ExitCode {
     };
     let opts = TraceOptions {
         level,
-        flight_capacity: args.flight_capacity,
         fault_plan,
         profile_sample_every,
     };

@@ -12,7 +12,6 @@ use std::time::{Duration, Instant};
 fn profiled_opts(sample_every: u64) -> TraceOptions {
     TraceOptions {
         level: TraceLevel::Off,
-        flight_capacity: None,
         fault_plan: None,
         profile_sample_every: Some(sample_every),
     }

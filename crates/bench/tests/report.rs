@@ -275,36 +275,6 @@ fn diff_of_two_configs_has_expected_shape() {
 }
 
 #[test]
-fn flight_capacity_is_honoured() {
-    let case = build_case(ModelKind::Gcn, "Cora", Scale::Smoke).unwrap();
-    let cfg = AcceleratorConfig::cpu_iso_bandwidth();
-    let opts = TraceOptions {
-        level: TraceLevel::Event,
-        flight_capacity: Some(7),
-        fault_plan: None,
-        profile_sample_every: None,
-    };
-    let run = simulate_traced_opts(&case, &cfg, &opts).unwrap();
-    assert_eq!(run.tracer.as_ref().unwrap().borrow().flight_capacity(), 7);
-    // The ring holds at most 7 lines (header excluded).
-    let snapshot = run.tracer.as_ref().unwrap().borrow().flight_snapshot();
-    assert!(
-        snapshot.lines().count() <= 8,
-        "flight ring exceeded capacity:\n{snapshot}"
-    );
-
-    // Capacity 0 disables the ring without disturbing the run.
-    let opts = TraceOptions {
-        level: TraceLevel::Event,
-        flight_capacity: Some(0),
-        fault_plan: None,
-        profile_sample_every: None,
-    };
-    let run0 = simulate_traced_opts(&case, &cfg, &opts).unwrap();
-    assert_eq!(run0.report.total_cycles, run.report.total_cycles);
-}
-
-#[test]
 fn passthrough_silent_corruption_closes_the_partition() {
     // Pass-through delivers uncorrectable faults as silent data
     // corruption; the report must count those `sdc` faults when it
