@@ -10,9 +10,10 @@
 //! cycle). Event names are interned so a multi-million-event trace stores one
 //! `u32` per name.
 //!
-//! The tracer doubles as the stall **flight recorder**: the last
-//! [`Tracer::flight_capacity`] events are kept in a ring buffer that
-//! [`Tracer::flight_snapshot`] formats for the watchdog error path.
+//! The tracer doubles as the stall **flight recorder**: the last 256 events
+//! (or the count given to [`Tracer::with_flight_capacity`]) are kept in a
+//! ring buffer that [`Tracer::flight_snapshot`] formats for the watchdog
+//! error path.
 
 use std::cell::RefCell;
 use std::collections::{BTreeMap, VecDeque};
@@ -137,10 +138,6 @@ impl Tracer {
 
     pub fn set_now(&mut self, cycle: u64) {
         self.now = cycle;
-    }
-
-    pub fn flight_capacity(&self) -> usize {
-        self.flight_capacity
     }
 
     /// Register a track. Tracks with the same `process` name share a pid and
